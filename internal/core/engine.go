@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,8 +66,10 @@ type TrialFailure struct {
 }
 
 // lease is the engine's record of an outstanding trial. trial.Config is
-// the engine's private copy (the caller got its own clone). epoch is the
-// tuner's drift sequence number at lease time: a completion arriving
+// the engine's private copy (the caller got its own; see
+// leaseOneLocked). Records are recycled once their trial finishes, but
+// the config never is: History keeps it. epoch is the tuner's drift
+// sequence number at lease time: a completion arriving
 // after a drift reset is evidence about the regime whose records the
 // reset just dropped, and is discarded instead of applied (see
 // finishLocked).
@@ -104,13 +107,14 @@ type EngineStats struct {
 //
 // Internally one mutex guards the decision state (selector, strategies,
 // counters, checkpoint journal); Best, Counts and Iterations are
-// lock-free reads of copy-on-write snapshots refreshed at every
-// completion. Phase one is served through a per-algorithm
-// search.Proposer, which hands the strategy's genuine proposal to the
-// first taker and incumbent-perturbed speculative configurations to
-// every concurrent one; phase two goes through
-// nominal.InFlightAware.SelectInFlight when the selector supports it, so
-// concurrent leases spread across arms instead of piling onto one.
+// lock-free reads of copy-on-write snapshots republished once per
+// engine call, before it returns (see unlock). Phase one is served
+// through a per-algorithm search.Proposer, which hands the strategy's
+// genuine proposal to the first taker and incumbent-perturbed
+// speculative configurations to every concurrent one; phase two goes
+// through nominal.InFlightAware.SelectInFlight when the selector
+// supports it, so concurrent leases spread across arms instead of
+// piling onto one.
 //
 // The engine owns the wrapped Tuner: using the Tuner directly after
 // NewConcurrentTuner is a data race. For single-threaded callers the
@@ -121,7 +125,8 @@ type ConcurrentTuner struct {
 	t         *Tuner
 	proposers []*search.Proposer
 	leases    map[uint64]*lease
-	inFlight  []int // per-algorithm outstanding leases
+	free      []*lease // finished lease records, reused by newLeaseLocked
+	inFlight  []int    // per-algorithm outstanding leases
 	nextID    uint64
 	adapterID uint64 // outstanding single-lease-adapter trial, 0 = none
 
@@ -132,6 +137,7 @@ type ConcurrentTuner struct {
 
 	nLeased, nCompleted, nFailed, nExpired, nAbsorbed uint64
 
+	dirty  bool // the call holding mu changed what the snapshots show
 	best   atomic.Pointer[bestSnap]
 	counts atomic.Pointer[[]int]
 	iters  atomic.Uint64
@@ -196,28 +202,50 @@ func wrapEngine(t *Tuner, opts []Option) (*ConcurrentTuner, error) {
 // reclaims it as a timeout.
 func (c *ConcurrentTuner) Lease() (Trial, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	return c.leaseLocked()
 }
 
 func (c *ConcurrentTuner) leaseLocked() (Trial, error) {
-	c.reclaimLocked()
-	return c.leaseOneLocked()
+	tr, err := c.leaseOneLocked(c.leaseClockLocked())
+	if err != nil {
+		return Trial{}, err
+	}
+	tr.Config = tr.Config.Clone()
+	return tr, nil
+}
+
+// leaseClockLocked sweeps expired leases and returns the deadline of
+// trials leased now (zero with WithLeaseTimeout(0)): one clock read
+// serves the sweep and a whole batch of leases.
+func (c *ConcurrentTuner) leaseClockLocked() time.Time {
+	if c.leaseTTL <= 0 {
+		return time.Time{}
+	}
+	now := c.now()
+	c.reclaimAt(now)
+	return now.Add(c.leaseTTL)
 }
 
 // leaseOneLocked draws one trial without sweeping expired leases; batch
-// callers sweep once and then call this per slot.
-func (c *ConcurrentTuner) leaseOneLocked() (Trial, error) {
+// callers sweep once and then call this per slot. The returned Config is
+// the engine's private copy, which the caller must copy before handing
+// the trial out. Both engines share the ownership rule: a speculative
+// draw is a fresh allocation nobody else holds, so it becomes the
+// private copy as is; a primary proposal is the strategy's and is
+// cloned; a pinned trial shares the incumbent, which is replaced
+// wholesale, never mutated in place.
+func (c *ConcurrentTuner) leaseOneLocked(deadline time.Time) (Trial, error) {
 	if c.maxInFlight > 0 && len(c.leases) >= c.maxInFlight {
 		return Trial{}, ErrTooManyInFlight
 	}
 	t := c.t
 	c.nextID++
-	tr := Trial{ID: c.nextID}
+	tr := Trial{ID: c.nextID, Deadline: deadline}
 	var prop search.Proposal
 	if t.degraded && t.bestAlgo >= 0 {
 		tr.Algo = t.bestAlgo
-		tr.Config = t.bestCfg.Clone()
+		tr.Config = t.bestCfg
 		tr.Pinned = true
 	} else {
 		if p, ok := t.takeProbe(); ok {
@@ -228,21 +256,62 @@ func (c *ConcurrentTuner) leaseOneLocked() (Trial, error) {
 			tr.Algo = c.selectLocked()
 		}
 		prop = c.proposers[tr.Algo].Propose()
-		tr.Config = prop.Config.Clone()
+		tr.Config = prop.Config
+		if prop.Primary {
+			tr.Config = prop.Config.Clone()
+		}
 		tr.Speculative = !prop.Primary
 	}
-	if c.leaseTTL > 0 {
-		tr.Deadline = c.now().Add(c.leaseTTL)
-		if c.sweepAt.IsZero() || tr.Deadline.Before(c.sweepAt) {
-			c.sweepAt = tr.Deadline
-		}
+	if !deadline.IsZero() && (c.sweepAt.IsZero() || deadline.Before(c.sweepAt)) {
+		c.sweepAt = deadline
 	}
-	stored := tr
-	stored.Config = tr.Config.Clone() // callers may mutate their copy
-	c.leases[tr.ID] = &lease{trial: stored, prop: prop, epoch: t.driftSeq}
+	l := c.newLeaseLocked()
+	l.trial, l.prop, l.epoch = tr, prop, t.driftSeq
+	c.leases[tr.ID] = l
 	c.inFlight[tr.Algo]++
 	c.nLeased++
 	return tr, nil
+}
+
+// ownConfigs replaces each trial's config, the engine's private copy,
+// with the caller's own, all cut from one backing array: a batch costs
+// one allocation for its configs, not one per trial.
+func ownConfigs(trials []Trial) {
+	n := 0
+	for i := range trials {
+		n += len(trials[i].Config)
+	}
+	buf := make([]float64, n)
+	for i := range trials {
+		k := copy(buf, trials[i].Config)
+		trials[i].Config = param.Config(buf[:k:k])
+		buf = buf[k:]
+	}
+}
+
+// newLeaseLocked returns a lease record, reusing a finished one when
+// there is one.
+func (c *ConcurrentTuner) newLeaseLocked() *lease {
+	if n := len(c.free); n > 0 {
+		l := c.free[n-1]
+		c.free = c.free[:n-1]
+		return l
+	}
+	return new(lease)
+}
+
+// maxFreeLeases bounds the finished lease records kept for reuse, so a
+// past burst of in-flight trials does not pin its records forever.
+const maxFreeLeases = 4096
+
+// recycleLocked returns a finished lease record for reuse. Only the
+// record is reused: its config may live on in History, so the next
+// lease overwrites the slice header, never the values behind it.
+func (c *ConcurrentTuner) recycleLocked(l *lease) {
+	if len(c.free) < maxFreeLeases {
+		*l = lease{}
+		c.free = append(c.free, l)
+	}
 }
 
 // selectLocked runs phase two under the engine lock.
@@ -260,7 +329,7 @@ func (c *ConcurrentTuner) selectLocked() int {
 // returns ErrUnknownTrial.
 func (c *ConcurrentTuner) Complete(id uint64, value float64) error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	c.reclaimLocked()
 	return c.completeLocked(id, value)
 }
@@ -279,9 +348,10 @@ func (c *ConcurrentTuner) completeLocked(id uint64, value float64) error {
 			Penalty: c.t.penalty(),
 		}
 		c.finishLocked(l, f.Penalty, f)
-		return nil
+	} else {
+		c.finishLocked(l, value, nil)
 	}
-	c.finishLocked(l, value, nil)
+	c.recycleLocked(l)
 	return nil
 }
 
@@ -290,7 +360,7 @@ func (c *ConcurrentTuner) completeLocked(id uint64, value float64) error {
 // unset — to both phases, as Tuner.ObserveFailure would.
 func (c *ConcurrentTuner) Fail(id uint64, f guard.Failure) error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	c.reclaimLocked()
 	return c.failLocked(id, f)
 }
@@ -306,6 +376,7 @@ func (c *ConcurrentTuner) failLocked(id uint64, f guard.Failure) error {
 		f.Penalty = c.t.penalty()
 	}
 	c.finishLocked(l, f.Penalty, &f)
+	c.recycleLocked(l)
 	return nil
 }
 
@@ -321,19 +392,20 @@ func (c *ConcurrentTuner) LeaseN(n int) ([]Trial, error) {
 		return nil, nil
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.reclaimLocked()
+	defer c.unlock()
+	deadline := c.leaseClockLocked()
 	out := make([]Trial, 0, n)
 	for i := 0; i < n; i++ {
-		tr, err := c.leaseOneLocked()
+		tr, err := c.leaseOneLocked(deadline)
 		if err != nil {
-			if len(out) > 0 && errors.Is(err, ErrTooManyInFlight) {
-				return out, nil
+			if len(out) == 0 || !errors.Is(err, ErrTooManyInFlight) {
+				return nil, err
 			}
-			return nil, err
+			break
 		}
 		out = append(out, tr)
 	}
+	ownConfigs(out)
 	return out, nil
 }
 
@@ -347,7 +419,7 @@ func (c *ConcurrentTuner) LeaseN(n int) ([]Trial, error) {
 // which is what makes Complete idempotent per trial ID.
 func (c *ConcurrentTuner) CompleteN(results []TrialResult) []error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	c.reclaimLocked()
 	errs := make([]error, len(results))
 	for i, r := range results {
@@ -361,7 +433,7 @@ func (c *ConcurrentTuner) CompleteN(results []TrialResult) []error {
 // CompleteN.
 func (c *ConcurrentTuner) FailN(fails []TrialFailure) []error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	c.reclaimLocked()
 	errs := make([]error, len(fails))
 	for i, f := range fails {
@@ -379,7 +451,7 @@ func (c *ConcurrentTuner) FailN(fails []TrialFailure) []error {
 // deadline to extend.
 func (c *ConcurrentTuner) Heartbeat(ids []uint64) []bool {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	c.reclaimLocked()
 	alive := make([]bool, len(ids))
 	var deadline time.Time
@@ -405,7 +477,7 @@ func (c *ConcurrentTuner) Heartbeat(ids []uint64) []bool {
 // leases alive.
 func (c *ConcurrentTuner) Alive(ids []uint64) []bool {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	c.reclaimLocked()
 	alive := make([]bool, len(ids))
 	for i, id := range ids {
@@ -432,7 +504,7 @@ func (c *ConcurrentTuner) Absorb(obs []nominal.Observation) int {
 		return 0
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	return c.absorbLocked(obs)
 }
 
@@ -468,7 +540,7 @@ func (c *ConcurrentTuner) absorbLocked(obs []nominal.Observation) int {
 		t.journalSync()
 	}
 	c.nAbsorbed += uint64(applied)
-	c.publishLocked()
+	c.dirty = true
 	return applied
 }
 
@@ -492,7 +564,7 @@ func (c *ConcurrentTuner) ExportSelectorState() ([]byte, error) {
 // as contextual replicas do with the global engine's selector).
 func (c *ConcurrentTuner) RestoreSelectorState(data []byte) error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	sel, ok := c.t.selector.(nominal.Stateful)
 	if !ok {
 		return fmt.Errorf("core: selector %T does not restore state", c.t.selector)
@@ -500,7 +572,7 @@ func (c *ConcurrentTuner) RestoreSelectorState(data []byte) error {
 	if err := sel.Restore(data); err != nil {
 		return err
 	}
-	c.publishLocked()
+	c.dirty = true
 	return nil
 }
 
@@ -513,11 +585,11 @@ func (c *ConcurrentTuner) RestoreSelectorState(data []byte) error {
 // selectors that do not implement Decayable.
 func (c *ConcurrentTuner) DecaySelector(keep float64) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	if d, ok := c.t.selector.(nominal.Decayable); ok {
 		d.Decay(keep)
 	}
-	c.publishLocked()
+	c.dirty = true
 }
 
 // Checkpoint forces a snapshot of the current state, rotating the
@@ -560,11 +632,14 @@ func (c *ConcurrentTuner) takeLocked(id uint64) (*lease, bool) {
 // counters, so a crashed worker costs one penalized iteration instead of
 // a stuck engine. Called at the top of every engine entry point.
 func (c *ConcurrentTuner) reclaimLocked() {
-	if c.leaseTTL <= 0 || len(c.leases) == 0 {
-		return
+	if c.leaseTTL > 0 && len(c.leases) > 0 {
+		c.reclaimAt(c.now())
 	}
-	now := c.now()
-	if !c.sweepAt.IsZero() && now.Before(c.sweepAt) {
+}
+
+// reclaimAt is reclaimLocked at a clock reading the caller already took.
+func (c *ConcurrentTuner) reclaimAt(now time.Time) {
+	if len(c.leases) == 0 || (!c.sweepAt.IsZero() && now.Before(c.sweepAt)) {
 		return // nothing can have expired yet; skip the map scan
 	}
 	for id, l := range c.leases {
@@ -579,6 +654,7 @@ func (c *ConcurrentTuner) reclaimLocked() {
 				Penalty: c.t.penalty(),
 			}
 			c.finishLocked(l, f.Penalty, f)
+			c.recycleLocked(l)
 		}
 	}
 	// Recompute the watermark from the survivors so the next scan waits
@@ -599,7 +675,7 @@ func (c *ConcurrentTuner) reclaimLocked() {
 // it reclaimed as timeouts.
 func (c *ConcurrentTuner) ReclaimExpired() int {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	before := c.nExpired
 	c.sweepAt = time.Time{} // explicit call: force the scan past the watermark
 	c.reclaimLocked()
@@ -607,13 +683,13 @@ func (c *ConcurrentTuner) ReclaimExpired() int {
 }
 
 // finishLocked routes one taken lease through the shared completion
-// path and refreshes the lock-free snapshots. A lease older than the
-// current drift epoch is discarded instead: its measurement belongs to
-// the regime whose evidence the reset dropped, and folding it in would
-// re-poison the decayed selector (a single stale best-value record
-// re-enthrones the dethroned incumbent). Phase one is still unblocked —
-// the proposer's ask/tell alternation must not wedge on a dropped
-// result.
+// path and marks the lock-free snapshots for republishing. A lease
+// older than the current drift epoch is discarded instead: its
+// measurement belongs to the regime whose evidence the reset dropped,
+// and folding it in would re-poison the decayed selector (a single
+// stale best-value record re-enthrones the dethroned incumbent). Phase
+// one is still unblocked — the proposer's ask/tell alternation must not
+// wedge on a dropped result.
 func (c *ConcurrentTuner) finishLocked(l *lease, value float64, fail *guard.Failure) {
 	if l.epoch != c.t.driftSeq {
 		if !l.trial.Pinned {
@@ -640,18 +716,32 @@ func (c *ConcurrentTuner) finishLocked(l *lease, value float64, fail *guard.Fail
 		trial:  l.trial.ID,
 		spec:   l.trial.Speculative,
 	}, report)
-	c.publishLocked()
+	c.dirty = true
+}
+
+// unlock releases the decision mutex, first republishing the lock-free
+// snapshots when the call changed them: once per engine call, so a
+// lock-free reader sees a whole batch or none of it, and sees it by the
+// time the call returns. Entry points that change counts or the
+// incumbent defer unlock instead of mu.Unlock.
+func (c *ConcurrentTuner) unlock() {
+	if c.dirty {
+		c.publishLocked()
+	}
+	c.mu.Unlock()
 }
 
 // publishLocked refreshes the copy-on-write snapshots read lock-free by
-// Best, Counts and Iterations.
+// Best, Counts and Iterations. A new best snapshot is allocated only
+// when the incumbent changed; it shares the tuner's bestCfg, which is
+// replaced wholesale, never mutated in place.
 func (c *ConcurrentTuner) publishLocked() {
+	c.dirty = false
 	t := c.t
-	if t.bestAlgo >= 0 {
-		c.best.Store(&bestSnap{algo: t.bestAlgo, cfg: t.bestCfg.Clone(), val: t.bestVal})
+	if b := c.best.Load(); t.bestAlgo >= 0 && (b == nil || b.algo != t.bestAlgo || b.val != t.bestVal || !t.bestCfg.Equal(b.cfg)) {
+		c.best.Store(&bestSnap{algo: t.bestAlgo, cfg: t.bestCfg, val: t.bestVal})
 	}
-	counts := make([]int, len(t.counts))
-	copy(counts, t.counts)
+	counts := slices.Clone(t.counts)
 	c.counts.Store(&counts)
 	c.iters.Store(uint64(t.Iterations()))
 }
@@ -763,7 +853,7 @@ func (c *ConcurrentTuner) CheckpointErr() error {
 // switch a *Tuner for a *ConcurrentTuner without other changes.
 func (c *ConcurrentTuner) Next() (algo int, cfg param.Config) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	if c.adapterID != 0 {
 		panic("core: Next called with an observation pending")
 	}
@@ -778,7 +868,7 @@ func (c *ConcurrentTuner) Next() (algo int, cfg param.Config) {
 // Observe completes the adapter trial leased by the preceding Next.
 func (c *ConcurrentTuner) Observe(value float64) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	id := c.adapterID
 	if id == 0 {
 		panic("core: Observe called without a pending Next")
@@ -792,7 +882,7 @@ func (c *ConcurrentTuner) Observe(value float64) {
 // ObserveFailure fails the adapter trial leased by the preceding Next.
 func (c *ConcurrentTuner) ObserveFailure(f guard.Failure) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	id := c.adapterID
 	if id == 0 {
 		panic("core: ObserveFailure called without a pending Next")

@@ -379,6 +379,7 @@ func (e *ShardedEngine) LeaseNOn(shardIdx, n int) ([]Trial, error) {
 		}
 		out = append(out, s.leaseOneLocked(e))
 	}
+	ownConfigs(out)
 	flush := len(s.delta) >= e.mergeEvery
 	s.mu.Unlock()
 	e.nExpired.Add(uint64(expired))
@@ -402,6 +403,7 @@ func (e *ShardedEngine) leaseOn(shardIdx int) (Trial, error) {
 	leased := false
 	if e.shardMax <= 0 || len(s.leases) < e.shardMax {
 		tr = s.leaseOneLocked(e)
+		tr.Config = tr.Config.Clone()
 		leased = true
 	}
 	flush := len(s.delta) >= e.mergeEvery
@@ -419,21 +421,21 @@ func (e *ShardedEngine) leaseOn(shardIdx int) (Trial, error) {
 	return tr, nil
 }
 
-// leaseOneLocked draws one trial entirely within the shard.
+// leaseOneLocked draws one trial entirely within the shard. As with
+// ConcurrentTuner.leaseOneLocked, the returned Config is the engine's
+// private copy; the caller copies it before handing the trial out.
 func (s *shard) leaseOneLocked(e *ShardedEngine) Trial {
 	id := e.base + s.seq*uint64(e.n) + uint64(s.idx)
 	s.seq++
 	tr := Trial{ID: id}
 	var prop search.Proposal
-	var stored param.Config // the engine's private copy of the config
 	primary := false
 	if s.pinnedAlgo >= 0 {
 		tr.Algo = s.pinnedAlgo
-		tr.Config = s.pinnedCfg.Clone()
 		tr.Pinned = true
 		// pinnedCfg is replaced wholesale at rebroadcasts, never mutated
 		// in place, so the lease can share it.
-		stored = s.pinnedCfg
+		tr.Config = s.pinnedCfg
 	} else {
 		if len(s.probeQ) > 0 {
 			// Drift-reset re-probe handed to this shard at its last
@@ -448,22 +450,19 @@ func (s *shard) leaseOneLocked(e *ShardedEngine) Trial {
 		select {
 		case prop = <-e.primaries[tr.Algo]:
 			primary = true
-			stored = prop.Config.Clone()
+			tr.Config = prop.Config.Clone()
 		default:
 			// The speculator's draw is a fresh allocation nobody else
-			// holds: keep it as the private copy and clone for the caller.
+			// holds: it is the private copy as is.
 			prop = search.Proposal{Config: s.spec[tr.Algo].Next()}
-			stored = prop.Config
+			tr.Config = prop.Config
 		}
-		tr.Config = prop.Config.Clone()
 		tr.Speculative = !primary
 	}
 	if ttl := e.inner.leaseTTL; ttl > 0 {
 		tr.Deadline = e.inner.now().Add(ttl)
 	}
-	st := tr
-	st.Config = stored
-	s.leases[id] = &shardLease{trial: st, prop: prop, primary: primary, epoch: s.driftSeen}
+	s.leases[id] = &shardLease{trial: tr, prop: prop, primary: primary, epoch: s.driftSeen}
 	s.inFlight[tr.Algo]++
 	return tr
 }
@@ -631,6 +630,7 @@ func (e *ShardedEngine) Absorb(obs []nominal.Observation) int {
 	}
 	c := e.inner
 	c.mu.Lock()
+	defer c.unlock()
 	applied := c.absorbLocked(obs)
 	for _, o := range obs {
 		if o.Arm < 0 || o.Arm >= len(c.t.algos) || math.IsNaN(o.Value) || math.IsInf(o.Value, 0) {
@@ -638,7 +638,6 @@ func (e *ShardedEngine) Absorb(obs []nominal.Observation) int {
 		}
 		e.log = append(e.log, logObs{arm: int32(o.Arm), shard: -1, value: o.Value})
 	}
-	c.mu.Unlock()
 	e.nAbsorbed.Add(uint64(applied))
 	return applied
 }
@@ -767,7 +766,7 @@ func (e *ShardedEngine) flushShard(s *shard) {
 		t.journalSync()
 	}
 	e.refillPrimariesLocked()
-	c.publishLocked()
+	c.dirty = true
 
 	// Snapshot the merged state for the rebroadcast: copy the catch-up
 	// slice out (compaction may shift the live log), advance the synced
@@ -801,7 +800,7 @@ func (e *ShardedEngine) flushShard(s *shard) {
 	pen := t.penalty()
 	pinAlgo, pinCfg := degradedPinLocked(t)
 	bases, baseVals := proposerBestsLocked(c)
-	c.mu.Unlock()
+	c.unlock()
 	e.pending.Add(-int64(len(batch)))
 
 	// Rebroadcast: replay the other shards' folded observations into the

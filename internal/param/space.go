@@ -118,14 +118,18 @@ func (s *Space) Cardinality() int {
 // Clamp maps an arbitrary point onto the nearest valid configuration.
 // The input is not modified.
 func (s *Space) Clamp(c Config) Config {
+	return s.ClampInPlace(c.Clone())
+}
+
+// ClampInPlace is Clamp overwriting c with the result, which it returns.
+func (s *Space) ClampInPlace(c Config) Config {
 	if len(c) != len(s.params) {
 		panic(fmt.Sprintf("param: config has %d values, space has %d dimensions", len(c), len(s.params)))
 	}
-	out := make(Config, len(c))
 	for i, p := range s.params {
-		out[i] = p.Clamp(c[i])
+		c[i] = p.Clamp(c[i])
 	}
-	return out
+	return c
 }
 
 // Valid reports whether c is a valid point of the space (correct arity and

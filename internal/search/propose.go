@@ -64,6 +64,11 @@ type Proposer struct {
 
 	specBest    param.Config // best config seen via speculative reports
 	specBestVal float64
+
+	// inc caches the base speculation perturbs, so a speculative
+	// proposal does not clone the strategy's incumbent. The incumbent
+	// changes only through Report, which drops the cache.
+	inc param.Config
 }
 
 // NewProposer wraps an already-Started strategy searching the given
@@ -113,6 +118,7 @@ func (p *Proposer) Report(pr Proposal, value float64) {
 	if p.outstanding > 0 {
 		p.outstanding--
 	}
+	p.inc = nil
 	if pr.Primary {
 		if p.primaryOut {
 			p.primaryOut = false
@@ -147,13 +153,21 @@ func (p *Proposer) Best() (param.Config, float64) {
 }
 
 // base is the point speculation perturbs: the best known configuration,
-// falling back to the space center before any report.
+// falling back to the space center before any report. The result is
+// cached until the next Report and must not be modified.
 func (p *Proposer) base() param.Config {
-	cfg, _ := p.Best()
-	if cfg == nil {
-		return p.space.Center()
+	if p.inc == nil {
+		cfg, val := p.strat.Best()
+		if p.specBest != nil && p.specBestVal < val {
+			// specBest is replaced wholesale, never mutated in place.
+			cfg = p.specBest
+		}
+		if cfg == nil {
+			cfg = p.space.Center()
+		}
+		p.inc = cfg
 	}
-	return cfg
+	return p.inc
 }
 
 // speculate fabricates a configuration near the incumbent (see perturb).
@@ -166,7 +180,8 @@ func (p *Proposer) speculate() param.Config {
 // a uniform redraw of nominal dimensions with a small probability, and —
 // with probability SpeculativeRandomFrac — a fully random point. The
 // random draws happen in a fixed order, so equal RNG states yield equal
-// proposals.
+// proposals. base is read, never modified; the result is one fresh
+// allocation.
 func perturb(rng *rand.Rand, space *param.Space, base param.Config) param.Config {
 	if space.Dim() == 0 {
 		return param.Config{}
@@ -188,7 +203,7 @@ func perturb(rng *rand.Rand, space *param.Space, base param.Config) param.Config
 			out[i] += rng.NormFloat64() * SpeculativeSigma * span
 		}
 	}
-	return space.Clamp(out)
+	return space.ClampInPlace(out)
 }
 
 // A Speculator generates speculative configurations detached from any

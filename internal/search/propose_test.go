@@ -126,3 +126,68 @@ func TestProposerSpeculationStaysInSpace(t *testing.T) {
 		p.Report(pr, math.Inf(1)) // worst possible: never becomes specBest
 	}
 }
+
+// TestProposerSpeculationFollowsIncumbent pins the cached speculation
+// base to what it caches: every speculative proposal equals a perturb
+// of Best() drawn from a twin RNG stream, across speculative and
+// primary reports that move the incumbent. The cache changes neither
+// the base nor the draw order, so replay stays exact.
+func TestProposerSpeculationFollowsIncumbent(t *testing.T) {
+	sp := proposerSpace()
+	nm := NewNelderMead()
+	if err := nm.Start(sp, nil); err != nil {
+		t.Fatal(err)
+	}
+	const seed = 9
+	p := NewProposer(nm, sp, seed)
+	twin := newRand(seed)
+	primary := p.Propose()
+	for i := 0; i < 200; i++ {
+		base, _ := p.Best()
+		if base == nil {
+			base = sp.Center()
+		}
+		want := perturb(twin, sp, base)
+		got := p.Propose()
+		if got.Primary || !got.Config.Equal(want) {
+			t.Fatalf("proposal %d: %v (primary %v), want speculative %v", i, got.Config, got.Primary, want)
+		}
+		switch {
+		case i%7 == 3:
+			p.Report(primary, float64(100-i))
+			primary = p.Propose()
+			if !primary.Primary {
+				t.Fatalf("proposal after the primary's report is not primary")
+			}
+		case i%3 == 0:
+			p.Report(got, float64(200-i))
+		}
+	}
+}
+
+// TestProposerSpeculativeAllocs pins a speculative draw at one
+// allocation — the fresh config it returns — whichever branch the draw
+// takes: the incumbent is not cloned per proposal, and perturb clamps
+// in place.
+func TestProposerSpeculativeAllocs(t *testing.T) {
+	sp := param.NewSpace(
+		param.NewRatio("x", 0, 10),
+		param.NewInterval("y", -5, 5),
+		param.NewNominal("z", "a", "b", "c"),
+	)
+	rs := NewRandom(1)
+	if err := rs.Start(sp, nil); err != nil {
+		t.Fatal(err)
+	}
+	p := NewProposer(rs, sp, 3)
+	p.Report(p.Propose(), 1)
+	p.Propose() // the primary stays outstanding: what follows is speculative
+	allocs := testing.AllocsPerRun(1000, func() {
+		if p.Propose().Primary {
+			t.Fatal("primary proposal while one is outstanding")
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("speculative Propose: %v allocs, ceiling 1", allocs)
+	}
+}

@@ -649,11 +649,32 @@ type pipe struct {
 	done chan struct{} // closed by fail
 }
 
-// pcall is one in-flight pipelined request.
+// pcall is one in-flight pipelined request. Calls are pooled: a call
+// goes back to pcalls only once its one result has been received, so
+// no sender can still reach it (see release).
 type pcall struct {
 	respType wire.Type
 	resp     wire.Payload
 	ch       chan error // buffered; receives exactly one result
+	timer    *time.Timer
+}
+
+var pcalls = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &pcall{ch: make(chan error, 1), timer: t}
+}}
+
+// release returns a call whose result was received to pcalls, unless
+// its timer had already fired: with the buffered timer channels of the
+// module's pre-1.23 go line, that tick may still land after any drain,
+// and would time out the call's next user at once.
+func (c *pcall) release() {
+	if !c.timer.Stop() {
+		return
+	}
+	c.resp = nil
+	pcalls.Put(c)
 }
 
 func newPipe(cc *clientConn, window int) *pipe {
@@ -686,13 +707,14 @@ func (p *pipe) do(timeout time.Duration, reqType wire.Type, req wire.Payload, re
 	}
 	defer func() { <-p.window }()
 
-	call := &pcall{respType: respType, resp: resp, ch: make(chan error, 1)}
 	p.mu.Lock()
 	if p.err != nil {
 		err := p.err
 		p.mu.Unlock()
 		return err
 	}
+	call := pcalls.Get().(*pcall)
+	call.respType, call.resp = respType, resp
 	// Correlation IDs cycle through 1..65535; 0 stays reserved for
 	// unsolicited frames. The window is far smaller than the ID space,
 	// so a live ID can never be reissued before its response lands.
@@ -722,12 +744,12 @@ func (p *pipe) do(timeout time.Duration, reqType wire.Type, req wire.Payload, re
 		return err
 	}
 
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+	call.timer.Reset(timeout)
 	select {
 	case err := <-call.ch:
+		call.release()
 		return err
-	case <-timer.C:
+	case <-call.timer.C:
 		// Failing the whole pipe on one timeout is deliberate: responses
 		// arrive in server order, so a stuck request means everything
 		// behind it is stuck too.
@@ -813,33 +835,13 @@ func (c *Client) LeaseNFor(features []float64, n int) (LeaseBatch, error) {
 // the JSON family otherwise.
 func (c *Client) leaseN(features []float64, n int) (LeaseBatch, error) {
 	if c.protoByte() >= 3 {
-		var resp wire.PackedTrials
-		if err := c.roundTrip(wire.TLeaseP, &wire.PackedLeaseReq{N: n, Features: features}, wire.TTrialsP, &resp); err != nil {
+		sc := callScratches.Get().(*callScratch)
+		sc.lease = wire.PackedLeaseReq{N: n, Features: features}
+		if err := c.roundTrip(wire.TLeaseP, &sc.lease, wire.TTrialsP, &sc.trials); err != nil {
 			return LeaseBatch{}, err
 		}
-		lb := LeaseBatch{
-			Epoch:      resp.Epoch,
-			Done:       resp.Done,
-			Draining:   resp.Draining,
-			Retry:      time.Duration(resp.RetryMS) * time.Millisecond,
-			SuggestMax: resp.SuggestMax,
-		}
-		if len(resp.Trials) > 0 {
-			lb.Trials = make([]core.Trial, 0, len(resp.Trials))
-		}
-		for _, wt := range resp.Trials {
-			tr := core.Trial{
-				ID:          wt.ID,
-				Algo:        wt.Algo,
-				Config:      param.Config(wt.Config),
-				Speculative: wt.Speculative,
-				Pinned:      wt.Pinned,
-			}
-			if wt.DeadlineMS != 0 {
-				tr.Deadline = time.UnixMilli(wt.DeadlineMS)
-			}
-			lb.Trials = append(lb.Trials, tr)
-		}
+		lb := leaseBatch(&sc.trials)
+		sc.put()
 		return lb, nil
 	}
 	var resp wire.LeaseNResp
@@ -869,6 +871,82 @@ func (c *Client) leaseN(features []float64, n int) (LeaseBatch, error) {
 	return lb, nil
 }
 
+// callScratch is the reusable request and response storage of one
+// packed hot-path call. Whatever a call returns is copied out of it
+// first. A scratch goes back to callScratches only after a call that
+// succeeded: a timed-out pipelined call may still be decoded into by
+// the connection's reader.
+type callScratch struct {
+	lease    wire.PackedLeaseReq
+	trials   wire.PackedTrials
+	complete wire.PackedCompleteReq
+	fail     wire.PackedFailReq
+	ack      wire.PackedAck
+}
+
+var callScratches = sync.Pool{New: func() any { return new(callScratch) }}
+
+// put returns the scratch to callScratches, dropping the caller's
+// feature vector it borrowed.
+func (sc *callScratch) put() {
+	sc.lease.Features = nil
+	callScratches.Put(sc)
+}
+
+// leaseBatch converts a packed lease reply into a LeaseBatch the caller
+// owns: the reply's configs alias its reused decode arena, so they are
+// copied out, all into one backing array.
+func leaseBatch(resp *wire.PackedTrials) LeaseBatch {
+	lb := LeaseBatch{
+		Epoch:      resp.Epoch,
+		Done:       resp.Done,
+		Draining:   resp.Draining,
+		Retry:      time.Duration(resp.RetryMS) * time.Millisecond,
+		SuggestMax: resp.SuggestMax,
+	}
+	if len(resp.Trials) == 0 {
+		return lb
+	}
+	n := 0
+	for i := range resp.Trials {
+		n += len(resp.Trials[i].Config)
+	}
+	buf := make([]float64, n)
+	lb.Trials = make([]core.Trial, len(resp.Trials))
+	for i := range resp.Trials {
+		wt := &resp.Trials[i]
+		tr := &lb.Trials[i]
+		*tr = core.Trial{ID: wt.ID, Algo: wt.Algo, Speculative: wt.Speculative, Pinned: wt.Pinned}
+		if k := copy(buf, wt.Config); k > 0 {
+			tr.Config = param.Config(buf[:k:k])
+			buf = buf[k:]
+		}
+		if wt.DeadlineMS != 0 {
+			tr.Deadline = time.UnixMilli(wt.DeadlineMS)
+		}
+	}
+	return lb
+}
+
+// ownIDs copies an ack's ID lists out of the reused decode storage, one
+// allocation for both; an empty list comes back nil.
+func ownIDs(ack *wire.PackedAck) (applied, dropped []uint64) {
+	na, nd := len(ack.Applied), len(ack.Dropped)
+	if na+nd == 0 {
+		return nil, nil
+	}
+	buf := make([]uint64, na+nd)
+	copy(buf, ack.Applied)
+	copy(buf[na:], ack.Dropped)
+	if na > 0 {
+		applied = buf[:na:na]
+	}
+	if nd > 0 {
+		dropped = buf[na:]
+	}
+	return applied, dropped
+}
+
 // CompleteN reports a batch of measured values for trials leased under
 // epoch, returning the trial IDs applied and dropped. Dropped IDs are
 // not failures: the engine had already charged those trials (expired
@@ -882,15 +960,18 @@ func (c *Client) completeN(worker uint64, epoch int64, results []core.TrialResul
 	// completions by trial ID through its route table, so echoing the
 	// sticky vector here would only fatten the hottest wire message.
 	if c.protoByte() >= 3 {
-		req := wire.PackedCompleteReq{Epoch: epoch, Worker: worker, Results: make([]wire.PackedResult, len(results))}
-		for i, r := range results {
-			req.Results[i] = wire.PackedResult{ID: r.ID, Value: r.Value}
+		sc := callScratches.Get().(*callScratch)
+		req := &sc.complete
+		req.Epoch, req.Worker, req.Results = epoch, worker, req.Results[:0]
+		for _, r := range results {
+			req.Results = append(req.Results, wire.PackedResult{ID: r.ID, Value: r.Value})
 		}
-		var ack wire.PackedAck
-		if err := c.roundTrip(wire.TCompleteP, &req, wire.TAckP, &ack); err != nil {
+		if err := c.roundTrip(wire.TCompleteP, req, wire.TAckP, &sc.ack); err != nil {
 			return nil, nil, err
 		}
-		return ack.Applied, ack.Dropped, nil
+		applied, dropped = ownIDs(&sc.ack)
+		sc.put()
+		return applied, dropped, nil
 	}
 	req := wire.CompleteNReq{Epoch: epoch, Worker: worker, Results: make([]wire.Result, len(results))}
 	for i, r := range results {
@@ -921,19 +1002,22 @@ func wireFailKind(k guard.Kind) uint8 {
 // epoch.
 func (c *Client) FailN(epoch int64, fails []core.TrialFailure) (applied, dropped []uint64, err error) {
 	if c.protoByte() >= 3 {
-		req := wire.PackedFailReq{Epoch: epoch, Fails: make([]wire.PackedFail, len(fails))}
-		for i, f := range fails {
+		sc := callScratches.Get().(*callScratch)
+		req := &sc.fail
+		req.Epoch, req.Fails = epoch, req.Fails[:0]
+		for _, f := range fails {
 			wf := wire.PackedFail{ID: f.ID, Kind: wireFailKind(f.Failure.Kind), Penalty: f.Failure.Penalty}
 			if f.Failure.Err != nil {
 				wf.Msg = f.Failure.Err.Error()
 			}
-			req.Fails[i] = wf
+			req.Fails = append(req.Fails, wf)
 		}
-		var ack wire.PackedAck
-		if err := c.roundTrip(wire.TFailP, &req, wire.TAckP, &ack); err != nil {
+		if err := c.roundTrip(wire.TFailP, req, wire.TAckP, &sc.ack); err != nil {
 			return nil, nil, err
 		}
-		return ack.Applied, ack.Dropped, nil
+		applied, dropped = ownIDs(&sc.ack)
+		sc.put()
+		return applied, dropped, nil
 	}
 	req := wire.FailNReq{Epoch: epoch, Fails: make([]wire.Fail, len(fails))}
 	for i, f := range fails {

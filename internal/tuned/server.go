@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,6 +86,8 @@ type shardedEngine interface {
 // trial's feature vector itself, so CompleteN needs no extra plumbing).
 // Declared structurally — with plain []float64, not a ctxtune type — so
 // any engine can opt in without this package importing the subsystem.
+// The features slice is the server's reused request storage: an engine
+// must copy what it keeps past the call.
 type contextualEngine interface {
 	Engine
 	LeaseNFor(features []float64, n int) ([]core.Trial, error)
@@ -231,10 +234,12 @@ type tenantRT struct {
 // session is the per-connection state: the protocol version its client
 // spoke (every reply frame is stamped with it, so a v1 decoder never
 // sees a frame it refuses), the tenant it was routed to, the shard its
-// leases are pinned to, and the lease ledger backing the session cap.
-// A v3 session serves pipelined requests on concurrent goroutines, so
-// the ledger is locked and reply writes echo each request's correlation
-// ID; pre-v3 sessions run strict lockstep with corr 0 throughout.
+// leases are pinned to, and the lease ledger backing the caps. The
+// ledger is kept only when a session or global cap is set: the caps
+// are its only readers. A v3 session serves pipelined requests on
+// concurrent goroutines, so the ledger is locked and reply writes echo
+// each request's correlation ID; pre-v3 sessions run strict lockstep
+// with corr 0 throughout.
 type session struct {
 	proto byte
 	rt    *tenantRT
@@ -245,7 +250,7 @@ type session struct {
 	outstanding atomic.Int32  // requests dispatched but not yet replied
 
 	mu     sync.Mutex
-	leased map[uint64]struct{} // lease IDs issued to this connection
+	leased map[uint64]struct{} // lease IDs issued to this connection; nil = no ledger
 }
 
 // reply buffers one reply frame at the session's protocol version,
@@ -281,18 +286,27 @@ func (sess *session) holdCount() int {
 	return len(sess.leased)
 }
 
-// track records issued leases; untrack clears reported ones.
-func (sess *session) track(ids []core.Trial) {
+// track records issued leases; untrack clears reported ones. Both are
+// no-ops on a session without a ledger.
+func (sess *session) track(trials []core.Trial) {
+	if sess.leased == nil {
+		return
+	}
 	sess.mu.Lock()
-	for _, tr := range ids {
+	for _, tr := range trials {
 		sess.leased[tr.ID] = struct{}{}
 	}
 	sess.mu.Unlock()
 }
 
-func (sess *session) untrack(id uint64) {
+func (sess *session) untrack(ids []uint64) {
+	if sess.leased == nil {
+		return
+	}
 	sess.mu.Lock()
-	delete(sess.leased, id)
+	for _, id := range ids {
+		delete(sess.leased, id)
+	}
 	sess.mu.Unlock()
 }
 
@@ -614,10 +628,13 @@ func (s *Server) handle(conn net.Conn) {
 		buf []byte
 		sem chan struct{}
 		wg  sync.WaitGroup
+		own *reqSlot // a lockstep session's one slot
 	)
 	if sess.proto >= 3 {
 		sem = make(chan struct{}, pipelineWindow)
 		defer wg.Wait()
+	} else {
+		own = new(reqSlot)
 	}
 	for {
 		typ, corr, payload, nbuf, err := wire.ReadFrameBuf(br, buf)
@@ -625,14 +642,18 @@ func (s *Server) handle(conn net.Conn) {
 			return // disconnect, or a frame this protocol can't resync from
 		}
 		buf = nbuf
-		req, err := decodeReq(typ, payload)
+		slot := own
+		if slot == nil {
+			slot = reqSlots.Get().(*reqSlot)
+		}
+		req, err := slot.decode(typ, payload)
 		if err != nil {
 			sess.write(conn, wire.TError, corr, &wire.ErrorResp{Code: wire.CodeBadRequest, Msg: err.Error()})
 			return
 		}
 		sess.outstanding.Add(1)
 		if sem == nil {
-			if !s.serveReq(conn, sess, typ, corr, req) {
+			if !s.serveReq(conn, sess, slot, typ, corr, req) {
 				return
 			}
 			continue
@@ -642,7 +663,9 @@ func (s *Server) handle(conn net.Conn) {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			if !s.serveReq(conn, sess, typ, corr, req) {
+			ok := s.serveReq(conn, sess, slot, typ, corr, req)
+			reqSlots.Put(slot)
+			if !ok {
 				// The request loop notices the close on its next read.
 				conn.Close()
 			}
@@ -650,32 +673,67 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// decodeReq parses a request frame's payload into its typed message.
-// Decoding happens on the read loop — the payload aliases a reused
-// frame buffer, so it must not escape to a service goroutine. Bodyless
-// requests and unknown types return (nil, nil); serveReq rejects the
-// latter.
-func decodeReq(typ wire.Type, payload []byte) (wire.Payload, error) {
+// reqSlot is the reusable storage of one dispatched request: the
+// decoded message and the scratch its handler builds the engine call
+// and the reply in. A lockstep session keeps one slot for its lifetime;
+// a pipelined session takes one from reqSlots per request and returns
+// it once the reply is buffered, so steady-state serving allocates no
+// request structs, batch slices or ack lists.
+type reqSlot struct {
+	leaseN    wire.LeaseNReq
+	leaseP    wire.PackedLeaseReq
+	completeN wire.CompleteNReq
+	completeP wire.PackedCompleteReq
+	failN     wire.FailNReq
+	failP     wire.PackedFailReq
+	absorb    wire.AbsorbReq
+	calibrate wire.CalibrateReq
+	heartbeat wire.HeartbeatReq
+
+	trials  wire.PackedTrials // packed lease reply
+	results []core.TrialResult
+	fails   []core.TrialFailure
+	ids     []uint64 // the reported trial IDs (see settle)
+	ack     wire.AckResp
+	ackP    wire.PackedAck
+}
+
+var reqSlots = sync.Pool{New: func() any { return new(reqSlot) }}
+
+// decode parses a request frame's payload into the slot's message of
+// its type. Decoding happens on the read loop — the payload aliases a
+// reused frame buffer, so it must not escape to a service goroutine.
+// Packed decoders overwrite every field, reusing slice storage; JSON
+// ones leave absent fields alone, so those messages are zeroed first.
+// Bodyless requests and unknown types return (nil, nil); serveReq
+// rejects the latter.
+func (r *reqSlot) decode(typ wire.Type, payload []byte) (wire.Payload, error) {
 	var req wire.Payload
 	switch typ {
 	case wire.TLeaseN:
-		req = &wire.LeaseNReq{}
+		r.leaseN = wire.LeaseNReq{}
+		req = &r.leaseN
 	case wire.TLeaseP:
-		req = &wire.PackedLeaseReq{}
+		req = &r.leaseP
 	case wire.TCompleteN:
-		req = &wire.CompleteNReq{}
+		r.completeN = wire.CompleteNReq{}
+		req = &r.completeN
 	case wire.TCompleteP:
-		req = &wire.PackedCompleteReq{}
+		req = &r.completeP
 	case wire.TFailN:
-		req = &wire.FailNReq{}
+		r.failN = wire.FailNReq{}
+		req = &r.failN
 	case wire.TFailP:
-		req = &wire.PackedFailReq{}
+		req = &r.failP
 	case wire.TAbsorb:
-		req = &wire.AbsorbReq{}
+		r.absorb = wire.AbsorbReq{}
+		req = &r.absorb
 	case wire.TCalibrate:
-		req = &wire.CalibrateReq{}
+		r.calibrate = wire.CalibrateReq{}
+		req = &r.calibrate
 	case wire.THeartbeat:
-		req = &wire.HeartbeatReq{}
+		r.heartbeat = wire.HeartbeatReq{}
+		req = &r.heartbeat
 	default:
 		return nil, nil
 	}
@@ -710,9 +768,11 @@ func (s *Server) handshake(conn net.Conn, br *bufio.Reader) *session {
 		return nil
 	}
 	sess := &session{
-		proto:  byte(h.Proto),
-		bw:     bufio.NewWriterSize(conn, 64<<10),
-		leased: make(map[uint64]struct{}),
+		proto: byte(h.Proto),
+		bw:    bufio.NewWriterSize(conn, 64<<10),
+	}
+	if s.sessionCap > 0 || s.globalCap > 0 {
+		sess.leased = make(map[uint64]struct{})
 	}
 	name := h.Tenant
 	if name == "" {
@@ -783,7 +843,7 @@ func (s *Server) refAlgoFor(eng Engine) int {
 // between requests — reporting whether the connection should stay open.
 // On a v3 session it runs on a per-request goroutine with corr echoing
 // the request frame; pre-v3 it runs lockstep on the read loop (corr 0).
-func (s *Server) serveReq(conn net.Conn, sess *session, typ wire.Type, corr uint16, req wire.Payload) bool {
+func (s *Server) serveReq(conn net.Conn, sess *session, slot *reqSlot, typ wire.Type, corr uint16, req wire.Payload) bool {
 	if typ == wire.TTenants {
 		// The aggregate view needs no engine (and must not force one
 		// resident).
@@ -799,15 +859,15 @@ func (s *Server) serveReq(conn net.Conn, sess *session, typ wire.Type, corr uint
 	case wire.TLeaseN:
 		return s.serveLeaseN(conn, sess, eng, corr, req.(*wire.LeaseNReq))
 	case wire.TLeaseP:
-		return s.serveLeaseP(conn, sess, eng, corr, req.(*wire.PackedLeaseReq))
+		return s.serveLeaseP(conn, sess, eng, slot, corr, req.(*wire.PackedLeaseReq))
 	case wire.TCompleteN:
-		return s.serveCompleteN(conn, sess, eng, corr, req.(*wire.CompleteNReq))
+		return s.serveCompleteN(conn, sess, eng, slot, corr, req.(*wire.CompleteNReq))
 	case wire.TCompleteP:
-		return s.serveCompleteP(conn, sess, eng, corr, req.(*wire.PackedCompleteReq))
+		return s.serveCompleteP(conn, sess, eng, slot, corr, req.(*wire.PackedCompleteReq))
 	case wire.TFailN:
-		return s.serveFailN(conn, sess, eng, corr, req.(*wire.FailNReq))
+		return s.serveFailN(conn, sess, eng, slot, corr, req.(*wire.FailNReq))
 	case wire.TFailP:
-		return s.serveFailP(conn, sess, eng, corr, req.(*wire.PackedFailReq))
+		return s.serveFailP(conn, sess, eng, slot, corr, req.(*wire.PackedFailReq))
 	case wire.TAbsorb:
 		return s.serveAbsorb(conn, sess, eng, corr, req.(*wire.AbsorbReq))
 	case wire.TCalibrate:
@@ -862,13 +922,13 @@ func (s *Server) lease(sess *session, eng Engine, n int, features []float64) (le
 	// answer with an empty busy response whose RetryMS grows with load,
 	// so backoff pressure rises before the engine's own hard limit
 	// (core.ErrTooManyInFlight) is ever reached.
-	held := sess.holdCount()
-	if s.sessionCap > 0 && held >= s.sessionCap {
-		sess.prune(eng)
+	held, inFlight := 0, 0
+	if sess.leased != nil {
 		held = sess.holdCount()
-	}
-	inFlight := 0
-	if s.sessionCap > 0 || s.globalCap > 0 {
+		if s.sessionCap > 0 && held >= s.sessionCap {
+			sess.prune(eng)
+			held = sess.holdCount()
+		}
 		inFlight = eng.Stats().InFlight
 	}
 	if s.sessionCap > 0 && held+n > s.sessionCap {
@@ -958,20 +1018,19 @@ func (s *Server) serveLeaseN(conn net.Conn, sess *session, eng Engine, corr uint
 	return sess.reply(conn, wire.TTrials, corr, &resp) == nil
 }
 
-func (s *Server) serveLeaseP(conn net.Conn, sess *session, eng Engine, corr uint16, req *wire.PackedLeaseReq) bool {
+func (s *Server) serveLeaseP(conn net.Conn, sess *session, eng Engine, slot *reqSlot, corr uint16, req *wire.PackedLeaseReq) bool {
 	out, err := s.lease(sess, eng, req.N, req.Features)
 	if err != nil {
 		sess.reply(conn, wire.TError, corr, &wire.ErrorResp{Code: wire.CodeInternal, Msg: err.Error()})
 		return false
 	}
-	resp := wire.PackedTrials{
-		Epoch:      sess.rt.epoch,
-		Done:       out.done,
-		Draining:   out.draining,
-		RetryMS:    out.retryMS,
-		SuggestMax: out.suggestMax,
-		Trials:     make([]wire.PackedTrial, len(out.trials)),
-	}
+	resp := &slot.trials
+	resp.Epoch = sess.rt.epoch
+	resp.Done = out.done
+	resp.Draining = out.draining
+	resp.RetryMS = out.retryMS
+	resp.SuggestMax = out.suggestMax
+	resp.Trials = slices.Grow(resp.Trials[:0], len(out.trials))[:len(out.trials)]
 	for i, tr := range out.trials {
 		pt := wire.PackedTrial{
 			ID:          tr.ID,
@@ -985,7 +1044,7 @@ func (s *Server) serveLeaseP(conn net.Conn, sess *session, eng Engine, corr uint
 		}
 		resp.Trials[i] = pt
 	}
-	return sess.reply(conn, wire.TTrialsP, corr, &resp) == nil
+	return sess.reply(conn, wire.TTrialsP, corr, resp) == nil
 }
 
 // serveCompleteN applies a completion batch. Reports from another epoch
@@ -993,55 +1052,33 @@ func (s *Server) serveLeaseP(conn net.Conn, sess *session, eng Engine, corr uint
 // possibly colliding with re-issued trial IDs) are dropped wholesale —
 // acknowledged, never applied. Tenant epochs are unique within a
 // process, so a report carried across tenants always fails this check.
-func (s *Server) serveCompleteN(conn net.Conn, sess *session, eng Engine, corr uint16, req *wire.CompleteNReq) bool {
-	var ack wire.AckResp
-	if req.Epoch != sess.rt.epoch {
-		for _, r := range req.Results {
-			ack.Dropped = append(ack.Dropped, r.ID)
-		}
-		return sess.reply(conn, wire.TAck, corr, &ack) == nil
-	}
+func (s *Server) serveCompleteN(conn net.Conn, sess *session, eng Engine, slot *reqSlot, corr uint16, req *wire.CompleteNReq) bool {
 	factor := sess.rt.factorFor(req.Worker)
-	results := make([]core.TrialResult, len(req.Results))
-	for i, r := range req.Results {
-		results[i] = core.TrialResult{ID: r.ID, Value: r.Value / factor}
-		sess.untrack(r.ID)
+	slot.results, slot.ids = slot.results[:0], slot.ids[:0]
+	for _, r := range req.Results {
+		slot.results = append(slot.results, core.TrialResult{ID: r.ID, Value: r.Value / factor})
+		slot.ids = append(slot.ids, r.ID)
 	}
-	for i, err := range eng.CompleteN(results) {
-		if err == nil {
-			ack.Applied = append(ack.Applied, results[i].ID)
-		} else {
-			ack.Dropped = append(ack.Dropped, results[i].ID)
-		}
-	}
-	return sess.reply(conn, wire.TAck, corr, &ack) == nil
+	ack := &slot.ack
+	ack.Applied, ack.Dropped = sess.settle(slot, req.Epoch, ack.Applied, ack.Dropped,
+		func() []error { return eng.CompleteN(slot.results) })
+	return sess.reply(conn, wire.TAck, corr, ack) == nil
 }
 
 // serveCompleteP is serveCompleteN over the packed hot-path encoding:
 // same epoch gate, calibration factor and idempotent engine semantics,
 // answered with a packed ack.
-func (s *Server) serveCompleteP(conn net.Conn, sess *session, eng Engine, corr uint16, req *wire.PackedCompleteReq) bool {
-	var ack wire.PackedAck
-	if req.Epoch != sess.rt.epoch {
-		for _, r := range req.Results {
-			ack.Dropped = append(ack.Dropped, r.ID)
-		}
-		return sess.reply(conn, wire.TAckP, corr, &ack) == nil
-	}
+func (s *Server) serveCompleteP(conn net.Conn, sess *session, eng Engine, slot *reqSlot, corr uint16, req *wire.PackedCompleteReq) bool {
 	factor := sess.rt.factorFor(req.Worker)
-	results := make([]core.TrialResult, len(req.Results))
-	for i, r := range req.Results {
-		results[i] = core.TrialResult{ID: r.ID, Value: r.Value / factor}
-		sess.untrack(r.ID)
+	slot.results, slot.ids = slot.results[:0], slot.ids[:0]
+	for _, r := range req.Results {
+		slot.results = append(slot.results, core.TrialResult{ID: r.ID, Value: r.Value / factor})
+		slot.ids = append(slot.ids, r.ID)
 	}
-	for i, err := range eng.CompleteN(results) {
-		if err == nil {
-			ack.Applied = append(ack.Applied, results[i].ID)
-		} else {
-			ack.Dropped = append(ack.Dropped, results[i].ID)
-		}
-	}
-	return sess.reply(conn, wire.TAckP, corr, &ack) == nil
+	ack := &slot.ackP
+	ack.Applied, ack.Dropped = sess.settle(slot, req.Epoch, ack.Applied, ack.Dropped,
+		func() []error { return eng.CompleteN(slot.results) })
+	return sess.reply(conn, wire.TAckP, corr, ack) == nil
 }
 
 // failKindOf maps a packed failure kind byte onto guard's taxonomy;
@@ -1058,62 +1095,61 @@ func failKindOf(kind uint8) guard.Kind {
 	}
 }
 
-func (s *Server) serveFailN(conn net.Conn, sess *session, eng Engine, corr uint16, req *wire.FailNReq) bool {
-	var ack wire.AckResp
-	if req.Epoch != sess.rt.epoch {
-		for _, f := range req.Fails {
-			ack.Dropped = append(ack.Dropped, f.ID)
-		}
-		return sess.reply(conn, wire.TAck, corr, &ack) == nil
-	}
-	fails := make([]core.TrialFailure, len(req.Fails))
-	for i, f := range req.Fails {
-		sess.untrack(f.ID)
+func (s *Server) serveFailN(conn net.Conn, sess *session, eng Engine, slot *reqSlot, corr uint16, req *wire.FailNReq) bool {
+	slot.fails, slot.ids = slot.fails[:0], slot.ids[:0]
+	for _, f := range req.Fails {
 		kind, ok := guard.KindFromString(f.Kind)
 		if !ok {
 			kind = guard.Invalid
 		}
-		fails[i] = core.TrialFailure{ID: f.ID, Failure: guard.Failure{
+		slot.fails = append(slot.fails, core.TrialFailure{ID: f.ID, Failure: guard.Failure{
 			Kind:    kind,
 			Err:     errors.New(f.Msg),
 			Penalty: f.Penalty,
-		}}
+		}})
+		slot.ids = append(slot.ids, f.ID)
 	}
-	for i, err := range eng.FailN(fails) {
-		if err == nil {
-			ack.Applied = append(ack.Applied, fails[i].ID)
-		} else {
-			ack.Dropped = append(ack.Dropped, fails[i].ID)
-		}
-	}
-	return sess.reply(conn, wire.TAck, corr, &ack) == nil
+	ack := &slot.ack
+	ack.Applied, ack.Dropped = sess.settle(slot, req.Epoch, ack.Applied, ack.Dropped,
+		func() []error { return eng.FailN(slot.fails) })
+	return sess.reply(conn, wire.TAck, corr, ack) == nil
 }
 
-func (s *Server) serveFailP(conn net.Conn, sess *session, eng Engine, corr uint16, req *wire.PackedFailReq) bool {
-	var ack wire.PackedAck
-	if req.Epoch != sess.rt.epoch {
-		for _, f := range req.Fails {
-			ack.Dropped = append(ack.Dropped, f.ID)
-		}
-		return sess.reply(conn, wire.TAckP, corr, &ack) == nil
-	}
-	fails := make([]core.TrialFailure, len(req.Fails))
-	for i, f := range req.Fails {
-		sess.untrack(f.ID)
-		fails[i] = core.TrialFailure{ID: f.ID, Failure: guard.Failure{
+func (s *Server) serveFailP(conn net.Conn, sess *session, eng Engine, slot *reqSlot, corr uint16, req *wire.PackedFailReq) bool {
+	slot.fails, slot.ids = slot.fails[:0], slot.ids[:0]
+	for _, f := range req.Fails {
+		slot.fails = append(slot.fails, core.TrialFailure{ID: f.ID, Failure: guard.Failure{
 			Kind:    failKindOf(f.Kind),
 			Err:     errors.New(f.Msg),
 			Penalty: f.Penalty,
-		}}
+		}})
+		slot.ids = append(slot.ids, f.ID)
 	}
-	for i, err := range eng.FailN(fails) {
+	ack := &slot.ackP
+	ack.Applied, ack.Dropped = sess.settle(slot, req.Epoch, ack.Applied, ack.Dropped,
+		func() []error { return eng.FailN(slot.fails) })
+	return sess.reply(conn, wire.TAckP, corr, ack) == nil
+}
+
+// settle runs one report batch, whose trial IDs are slot.ids: a batch
+// from another epoch is dropped whole; otherwise the IDs leave the
+// ledger and apply makes the engine call, whose aligned errors (nil =
+// applied) sort them into applied and dropped. Both lists reuse their
+// storage.
+func (sess *session) settle(slot *reqSlot, epoch int64, applied, dropped []uint64, apply func() []error) ([]uint64, []uint64) {
+	if epoch != sess.rt.epoch {
+		return applied[:0], append(dropped[:0], slot.ids...)
+	}
+	sess.untrack(slot.ids)
+	applied, dropped = slices.Grow(applied[:0], len(slot.ids)), dropped[:0]
+	for i, err := range apply() {
 		if err == nil {
-			ack.Applied = append(ack.Applied, fails[i].ID)
+			applied = append(applied, slot.ids[i])
 		} else {
-			ack.Dropped = append(ack.Dropped, fails[i].ID)
+			dropped = append(dropped, slot.ids[i])
 		}
 	}
-	return sess.reply(conn, wire.TAckP, corr, &ack) == nil
+	return applied, dropped
 }
 
 func (s *Server) serveHeartbeat(conn net.Conn, sess *session, eng Engine, corr uint16, req *wire.HeartbeatReq) bool {
