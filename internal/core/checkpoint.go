@@ -186,10 +186,7 @@ func (t *Tuner) ExportState() ([]byte, error) {
 		}
 		st.Drift = ds
 	}
-	tail := t.history
-	if len(tail) > stateHistoryTail {
-		tail = tail[len(tail)-stateHistoryTail:]
-	}
+	tail := t.history.appendTail(nil, stateHistoryTail)
 	st.HistoryTail = make([]recState, len(tail))
 	for i, r := range tail {
 		st.HistoryTail[i] = recState{
@@ -291,9 +288,9 @@ func (t *Tuner) RestoreState(payload []byte) error {
 		}
 	}
 	if t.keepHistory {
-		t.history = t.history[:0]
+		t.history = chunkLog[Record]{}
 		for _, r := range st.HistoryTail {
-			t.history = append(t.history, Record{
+			t.history.append(Record{
 				Iteration: r.Iteration, Algo: r.Algo,
 				Config: param.Config(checkpoint.Unfloats(r.Config)),
 				Value:  float64(r.Value), Failed: r.Failed,

@@ -66,12 +66,14 @@ func (t *Tuner) WriteHistoryCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "iteration,algorithm,value,config"); err != nil {
 		return err
 	}
-	for _, r := range t.history {
-		cfgStr := t.algos[r.Algo].space().Format(r.Config)
-		if _, err := fmt.Fprintf(w, "%d,%s,%s,%q\n",
-			r.Iteration, t.algos[r.Algo].Name,
-			strconv.FormatFloat(r.Value, 'g', -1, 64), cfgStr); err != nil {
-			return err
+	for c := t.history.head; c != nil; c = c.next {
+		for _, r := range c.items {
+			cfgStr := t.algos[r.Algo].space().Format(r.Config)
+			if _, err := fmt.Fprintf(w, "%d,%s,%s,%q\n",
+				r.Iteration, t.algos[r.Algo].Name,
+				strconv.FormatFloat(r.Value, 'g', -1, 64), cfgStr); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -91,7 +91,7 @@ type Tuner struct {
 	src        *xrand.Source
 	seed       int64
 
-	history []Record
+	history chunkLog[Record]
 	counts  []int
 
 	pending        bool
@@ -101,7 +101,7 @@ type Tuner struct {
 	bestCfg        param.Config
 	bestVal        float64
 	keepHistory    bool
-	perAlgoHistory [][]float64
+	perAlgoHistory []chunkLog[float64]
 
 	// Fault tolerance (see WithGuard / WithWatchdog and FailureStats).
 	guard       *guard.Guard
@@ -205,7 +205,7 @@ func NewTuner(algos []Algorithm, selector nominal.Selector, factory search.Facto
 	if t.drift != nil {
 		t.drift.init(len(algos))
 	}
-	t.perAlgoHistory = make([][]float64, len(algos))
+	t.perAlgoHistory = make([]chunkLog[float64], len(algos))
 	if t.ckptDir != "" {
 		if err := t.initCheckpoint(); err != nil {
 			return nil, err
@@ -385,7 +385,7 @@ func (t *Tuner) applyCompletion(c completion, reportPhase1 func(param.Config, fl
 	}
 	t.counts[c.algo]++
 	if t.keepHistory {
-		t.history = append(t.history, Record{
+		t.history.append(Record{
 			Iteration: iter,
 			Algo:      c.algo,
 			Config:    c.cfg,
@@ -430,21 +430,21 @@ func (t *Tuner) applyCompletion(c completion, reportPhase1 func(param.Config, fl
 
 // DefaultValuesTail bounds each per-algorithm value timeline of a tuner
 // running WithoutHistory. Timelines are compacted amortizedly: a
-// timeline grows to at most 2×DefaultValuesTail values before its oldest
-// half is dropped, so memory stays constant over unbounded runs while
-// appends remain O(1) amortized.
+// timeline grows to at most 2×DefaultValuesTail values before its
+// oldest values are dropped, down to no fewer than DefaultValuesTail,
+// so memory stays constant over unbounded runs while appends remain
+// O(1).
 const DefaultValuesTail = 1024
 
 // appendValue records a value on an algorithm's timeline, bounding the
 // timeline when history keeping is off (with history on, the timeline is
 // already O(run length) by request).
 func (t *Tuner) appendValue(algo int, v float64) {
-	h := append(t.perAlgoHistory[algo], v)
-	if !t.keepHistory && len(h) > 2*DefaultValuesTail {
-		copy(h, h[len(h)-DefaultValuesTail:])
-		h = h[:DefaultValuesTail]
+	h := &t.perAlgoHistory[algo]
+	h.append(v)
+	if !t.keepHistory && h.len() > 2*DefaultValuesTail {
+		h.trimFront(DefaultValuesTail)
 	}
-	t.perAlgoHistory[algo] = h
 }
 
 // algoIndex returns the index of the named algorithm, or -1.
@@ -622,8 +622,7 @@ func (t *Tuner) Counts() []int {
 // The records are deep copies: mutating a returned Record's Config does
 // not touch the tuner's log.
 func (t *Tuner) History() []Record {
-	h := make([]Record, len(t.history))
-	copy(h, t.history)
+	h := t.history.slice()
 	for i := range h {
 		h[i].Config = h[i].Config.Clone()
 	}
@@ -636,9 +635,7 @@ func (t *Tuner) History() []Record {
 // (between DefaultValuesTail and 2×DefaultValuesTail of them) are
 // retained.
 func (t *Tuner) ValuesOf(algo int) []float64 {
-	v := make([]float64, len(t.perAlgoHistory[algo]))
-	copy(v, t.perAlgoHistory[algo])
-	return v
+	return t.perAlgoHistory[algo].slice()
 }
 
 // Strategy exposes algorithm i's phase-one strategy (for inspection).

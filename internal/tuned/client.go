@@ -230,7 +230,7 @@ func Dial(addr string, opts ...ClientOption) (*Client, error) {
 		return nil, err
 	}
 	if c.pipelined() {
-		cc.pipe = newPipe(cc, c.pwindow)
+		cc.pipe = newPipe(cc, c.pwindow, c.timeout)
 		c.pconn = cc
 	} else {
 		c.put(cc)
@@ -589,7 +589,7 @@ func (c *Client) pipeDo(reqType wire.Type, req wire.Payload, respType wire.Type,
 	if err != nil {
 		return err
 	}
-	err = p.do(c.timeout, reqType, req, respType, resp)
+	err = p.do(reqType, req, respType, resp)
 	if err != nil {
 		var re *RemoteError
 		if !errors.As(err, &re) {
@@ -611,7 +611,7 @@ func (c *Client) getPipe() (*pipe, error) {
 	if err != nil {
 		return nil, err
 	}
-	cc.pipe = newPipe(cc, c.pwindow)
+	cc.pipe = newPipe(cc, c.pwindow, c.timeout)
 	c.pconn = cc
 	return cc.pipe, nil
 }
@@ -634,12 +634,10 @@ func (c *Client) dropPipe(p *pipe) {
 // whatever order the server answers. Any transport error fails every
 // in-flight request at once — the callers' retry loops redial.
 type pipe struct {
-	cc     *clientConn
-	window chan struct{}
-
-	wmu   sync.Mutex    // serializes frame writes
-	bw    *bufio.Writer // request buffer over the connection
-	wpend atomic.Int32  // writers committed to entering wmu
+	cc      *clientConn
+	window  chan struct{}
+	timeout time.Duration // per write syscall and per reply wait
+	w       *frameWriter
 
 	mu      sync.Mutex
 	corr    uint16
@@ -677,11 +675,12 @@ func (c *pcall) release() {
 	pcalls.Put(c)
 }
 
-func newPipe(cc *clientConn, window int) *pipe {
+func newPipe(cc *clientConn, window int, timeout time.Duration) *pipe {
 	p := &pipe{
 		cc:      cc,
 		window:  make(chan struct{}, window),
-		bw:      bufio.NewWriterSize(cc.conn, 64<<10),
+		timeout: timeout,
+		w:       newFrameWriter(cc.conn, timeout),
 		pending: make(map[uint16]*pcall),
 		done:    make(chan struct{}),
 	}
@@ -697,7 +696,7 @@ func (p *pipe) alive() bool {
 }
 
 // do runs one exchange: slot, register, write, wait.
-func (p *pipe) do(timeout time.Duration, reqType wire.Type, req wire.Payload, respType wire.Type, resp wire.Payload) error {
+func (p *pipe) do(reqType wire.Type, req wire.Payload, respType wire.Type, resp wire.Payload) error {
 	select {
 	case p.window <- struct{}{}:
 	case <-p.done:
@@ -726,25 +725,17 @@ func (p *pipe) do(timeout time.Duration, reqType wire.Type, req wire.Payload, re
 	p.pending[corr] = call
 	p.mu.Unlock()
 
-	// Coalesced write: frames buffer under the mutex and flush only
-	// when no other writer is committed to entering it, so overlapping
-	// requests (a report racing the next lease) share one syscall.
-	p.wpend.Add(1)
-	p.wmu.Lock()
-	p.cc.conn.SetWriteDeadline(time.Now().Add(timeout))
-	err := wire.WriteFrame(p.bw, p.cc.proto, reqType, corr, req)
-	if p.wpend.Add(-1) <= 0 {
-		if ferr := p.bw.Flush(); err == nil {
-			err = ferr
-		}
-	}
-	p.wmu.Unlock()
-	if err != nil {
+	// Coalesced write: overlapping requests (a report racing the next
+	// lease, callers woken by one reply burst) share one syscall. A
+	// lone caller flushes at once; with other calls in flight the last
+	// writer yields first so they can join (see frameWriter.send).
+	p.w.commit()
+	if err := p.w.send(p.cc.proto, reqType, corr, req, len(p.window) > 1); err != nil {
 		p.fail(err)
 		return err
 	}
 
-	call.timer.Reset(timeout)
+	call.timer.Reset(p.timeout)
 	select {
 	case err := <-call.ch:
 		call.release()

@@ -245,9 +245,9 @@ type session struct {
 	rt    *tenantRT
 	shard int
 
-	wmu         sync.Mutex    // serializes buffered reply writes
-	bw          *bufio.Writer // reply buffer over the connection
-	outstanding atomic.Int32  // requests dispatched but not yet replied
+	// w buffers reply frames; the handle loop commits each request as
+	// it dispatches it, so replies flush once none remains in service.
+	w *frameWriter
 
 	mu     sync.Mutex
 	leased map[uint64]struct{} // lease IDs issued to this connection; nil = no ledger
@@ -256,26 +256,18 @@ type session struct {
 // reply buffers one reply frame at the session's protocol version,
 // echoing the request's correlation ID, and flushes only when no other
 // dispatched request remains unanswered — so a burst of pipelined
-// requests costs one write syscall, not one per reply. The write mutex
-// keeps pipelined replies from interleaving mid-frame.
+// requests costs one write syscall, not one per reply. The server
+// never yields before a flush: its replies go out as soon as the last
+// request in service is answered.
 func (sess *session) reply(conn net.Conn, typ wire.Type, corr uint16, p wire.Payload) error {
-	sess.wmu.Lock()
-	defer sess.wmu.Unlock()
-	err := wire.WriteFrame(sess.bw, sess.proto, typ, corr, p)
-	if sess.outstanding.Add(-1) > 0 {
-		return err
-	}
-	if ferr := sess.bw.Flush(); err == nil {
-		err = ferr
-	}
-	return err
+	return sess.w.send(sess.proto, typ, corr, p, false)
 }
 
 // write is reply for frames outside the request/reply ledger — the
-// handshake and abort paths — balancing the counter itself so the
-// frame flushes immediately.
+// handshake and abort paths — committing itself so the frame flushes
+// immediately.
 func (sess *session) write(conn net.Conn, typ wire.Type, corr uint16, p wire.Payload) error {
-	sess.outstanding.Add(1)
+	sess.w.commit()
 	return sess.reply(conn, typ, corr, p)
 }
 
@@ -651,7 +643,7 @@ func (s *Server) handle(conn net.Conn) {
 			sess.write(conn, wire.TError, corr, &wire.ErrorResp{Code: wire.CodeBadRequest, Msg: err.Error()})
 			return
 		}
-		sess.outstanding.Add(1)
+		sess.w.commit()
 		if sem == nil {
 			if !s.serveReq(conn, sess, slot, typ, corr, req) {
 				return
@@ -769,7 +761,7 @@ func (s *Server) handshake(conn net.Conn, br *bufio.Reader) *session {
 	}
 	sess := &session{
 		proto: byte(h.Proto),
-		bw:    bufio.NewWriterSize(conn, 64<<10),
+		w:     newFrameWriter(conn, 0),
 	}
 	if s.sessionCap > 0 || s.globalCap > 0 {
 		sess.leased = make(map[uint64]struct{})
