@@ -408,21 +408,44 @@ func (e *Engine) replicaOf(ctx string) *replica {
 	return e.replicas[ctx]
 }
 
+// completeItem is one contextual result of a CompleteN batch: its
+// index in the batch, its route, and its replica until its group is
+// completed.
+type completeItem struct {
+	idx int
+	rt  route
+	rep *replica
+}
+
+// completeScratch is CompleteN's working storage. CompleteN runs
+// concurrently, so each call borrows one from completeScratches; none
+// of the calls it makes keeps a slice it is handed.
+type completeScratch struct {
+	items     []completeItem
+	obs       []nominal.Observation
+	batch     []core.TrialResult
+	group     []int
+	globalIdx []int
+	globalRes []core.TrialResult
+}
+
+var completeScratches = sync.Pool{New: func() any { return new(completeScratch) }}
+
 // CompleteN finishes a batch of trials, global and contextual mixed. A
 // successful contextual completion additionally feeds the partitioner
 // (features, cost) for split refinement and folds the observation into
 // the global selector, so global knowledge keeps improving even when all
-// traffic carries features.
+// traffic carries features. The returned error slice is the call's one
+// allocation of its own.
 func (e *Engine) CompleteN(results []core.TrialResult) []error {
 	errs := make([]error, len(results))
-	var globalIdx []int
-	var globalRes []core.TrialResult
-	type item struct {
-		idx int
-		rt  route
-		rep *replica
-	}
-	items := make([]item, 0, len(results))
+	sc := completeScratches.Get().(*completeScratch)
+	defer func() {
+		clear(sc.items) // routes hold feature vectors
+		completeScratches.Put(sc)
+	}()
+	globalIdx, globalRes := sc.globalIdx[:0], sc.globalRes[:0]
+	items := sc.items[:0]
 	e.mu.Lock()
 	for i, res := range results {
 		if res.ID < extIDBase {
@@ -441,18 +464,17 @@ func (e *Engine) CompleteN(results []core.TrialResult) []error {
 			errs[i] = core.ErrUnknownTrial
 			continue
 		}
-		items = append(items, item{i, rt, r})
+		items = append(items, completeItem{i, rt, r})
 	}
 	e.mu.Unlock()
+	sc.items, sc.globalIdx, sc.globalRes = items, globalIdx, globalRes
 	// One replica CompleteN per context and one global Absorb per call:
 	// the wire path hands us whole batches, and per-result round trips
 	// through three mutexes were the routing layer's dominant cost. The
 	// grouping scans instead of building a map — a worker's batch is
 	// nearly always single-context, and at wire batch sizes the scan is
 	// cheaper than map churn.
-	obs := make([]nominal.Observation, 0, len(items))
-	batch := make([]core.TrialResult, 0, len(items))
-	group := make([]int, 0, len(items))
+	obs, batch, group := sc.obs[:0], sc.batch, sc.group
 	for g := range items {
 		rep := items[g].rep
 		if rep == nil {
@@ -479,6 +501,7 @@ func (e *Engine) CompleteN(results []core.TrialResult) []error {
 			}
 		}
 	}
+	sc.obs, sc.batch, sc.group = obs, batch, group
 	if len(obs) > 0 {
 		// Absorb only skips out-of-range arms and non-finite values;
 		// arms come from our own routes and values are filtered above,

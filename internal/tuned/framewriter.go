@@ -51,7 +51,7 @@ func (w *frameWriter) commit() { w.committed.Add(1) }
 // by the same reply burst can join the write; if one committed
 // meanwhile, the flush passes to it. Either way the last writer of a
 // burst flushes, so no buffered frame is left behind.
-func (w *frameWriter) send(proto byte, typ wire.Type, corr uint16, p wire.Payload, groupFlush bool) error {
+func (w *frameWriter) send(proto byte, typ wire.Type, corr uint16, p wire.Encoder, groupFlush bool) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	err := wire.WriteFrame(w.bw, proto, typ, corr, p)

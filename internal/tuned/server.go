@@ -259,14 +259,14 @@ type session struct {
 // requests costs one write syscall, not one per reply. The server
 // never yields before a flush: its replies go out as soon as the last
 // request in service is answered.
-func (sess *session) reply(conn net.Conn, typ wire.Type, corr uint16, p wire.Payload) error {
+func (sess *session) reply(conn net.Conn, typ wire.Type, corr uint16, p wire.Encoder) error {
 	return sess.w.send(sess.proto, typ, corr, p, false)
 }
 
 // write is reply for frames outside the request/reply ledger — the
 // handshake and abort paths — committing itself so the frame flushes
 // immediately.
-func (sess *session) write(conn net.Conn, typ wire.Type, corr uint16, p wire.Payload) error {
+func (sess *session) write(conn net.Conn, typ wire.Type, corr uint16, p wire.Encoder) error {
 	sess.w.commit()
 	return sess.reply(conn, typ, corr, p)
 }
@@ -672,22 +672,18 @@ func (s *Server) handle(conn net.Conn) {
 // it once the reply is buffered, so steady-state serving allocates no
 // request structs, batch slices or ack lists.
 type reqSlot struct {
-	leaseN    wire.LeaseNReq
-	leaseP    wire.PackedLeaseReq
-	completeN wire.CompleteNReq
-	completeP wire.PackedCompleteReq
-	failN     wire.FailNReq
-	failP     wire.PackedFailReq
+	lease     wire.PackedLeaseReq
+	complete  wire.PackedCompleteReq
+	fail      wire.PackedFailReq
 	absorb    wire.AbsorbReq
 	calibrate wire.CalibrateReq
 	heartbeat wire.HeartbeatReq
 
-	trials  wire.PackedTrials // packed lease reply
+	trials  wire.PackedTrials // lease reply
 	results []core.TrialResult
 	fails   []core.TrialFailure
 	ids     []uint64 // the reported trial IDs (see settle)
-	ack     wire.AckResp
-	ackP    wire.PackedAck
+	ack     wire.PackedAck
 }
 
 var reqSlots = sync.Pool{New: func() any { return new(reqSlot) }}
@@ -695,41 +691,39 @@ var reqSlots = sync.Pool{New: func() any { return new(reqSlot) }}
 // decode parses a request frame's payload into the slot's message of
 // its type. Decoding happens on the read loop — the payload aliases a
 // reused frame buffer, so it must not escape to a service goroutine.
-// Packed decoders overwrite every field, reusing slice storage; JSON
-// ones leave absent fields alone, so those messages are zeroed first.
-// Bodyless requests and unknown types return (nil, nil); serveReq
-// rejects the latter.
+// The trial requests of every version land in the packed structs — a
+// pre-v3 JSON LeaseN, CompleteN or FailN is converted at this edge — so
+// one handler serves each operation. Those decoders overwrite every
+// field, reusing slice storage; the other JSON decoders leave absent
+// fields alone, so their messages are zeroed first. Bodyless requests
+// and unknown types return (nil, nil); serveReq rejects the latter.
 func (r *reqSlot) decode(typ wire.Type, payload []byte) (wire.Payload, error) {
 	var req wire.Payload
+	var err error
 	switch typ {
 	case wire.TLeaseN:
-		r.leaseN = wire.LeaseNReq{}
-		req = &r.leaseN
+		req, err = &r.lease, r.lease.DecodeJSON(payload)
 	case wire.TLeaseP:
-		req = &r.leaseP
+		req, err = &r.lease, r.lease.DecodeFrom(payload)
 	case wire.TCompleteN:
-		r.completeN = wire.CompleteNReq{}
-		req = &r.completeN
+		req, err = &r.complete, r.complete.DecodeJSON(payload)
 	case wire.TCompleteP:
-		req = &r.completeP
+		req, err = &r.complete, r.complete.DecodeFrom(payload)
 	case wire.TFailN:
-		r.failN = wire.FailNReq{}
-		req = &r.failN
+		req, err = &r.fail, r.fail.DecodeJSON(payload)
 	case wire.TFailP:
-		req = &r.failP
+		req, err = &r.fail, r.fail.DecodeFrom(payload)
 	case wire.TAbsorb:
 		r.absorb = wire.AbsorbReq{}
-		req = &r.absorb
+		req, err = &r.absorb, r.absorb.DecodeFrom(payload)
 	case wire.TCalibrate:
 		r.calibrate = wire.CalibrateReq{}
-		req = &r.calibrate
+		req, err = &r.calibrate, r.calibrate.DecodeFrom(payload)
 	case wire.THeartbeat:
 		r.heartbeat = wire.HeartbeatReq{}
-		req = &r.heartbeat
-	default:
-		return nil, nil
+		req, err = &r.heartbeat, r.heartbeat.DecodeFrom(payload)
 	}
-	if err := req.DecodeFrom(payload); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return req, nil
@@ -848,18 +842,12 @@ func (s *Server) serveReq(conn net.Conn, sess *session, slot *reqSlot, typ wire.
 	}
 	defer release()
 	switch typ {
-	case wire.TLeaseN:
-		return s.serveLeaseN(conn, sess, eng, corr, req.(*wire.LeaseNReq))
-	case wire.TLeaseP:
-		return s.serveLeaseP(conn, sess, eng, slot, corr, req.(*wire.PackedLeaseReq))
-	case wire.TCompleteN:
-		return s.serveCompleteN(conn, sess, eng, slot, corr, req.(*wire.CompleteNReq))
-	case wire.TCompleteP:
-		return s.serveCompleteP(conn, sess, eng, slot, corr, req.(*wire.PackedCompleteReq))
-	case wire.TFailN:
-		return s.serveFailN(conn, sess, eng, slot, corr, req.(*wire.FailNReq))
-	case wire.TFailP:
-		return s.serveFailP(conn, sess, eng, slot, corr, req.(*wire.PackedFailReq))
+	case wire.TLeaseN, wire.TLeaseP:
+		return s.serveLease(conn, sess, eng, slot, typ, corr)
+	case wire.TCompleteN, wire.TCompleteP:
+		return s.serveComplete(conn, sess, eng, slot, typ, corr)
+	case wire.TFailN, wire.TFailP:
+		return s.serveFail(conn, sess, eng, slot, typ, corr)
 	case wire.TAbsorb:
 		return s.serveAbsorb(conn, sess, eng, corr, req.(*wire.AbsorbReq))
 	case wire.TCalibrate:
@@ -877,8 +865,7 @@ func (s *Server) serveReq(conn net.Conn, sess *session, slot *reqSlot, typ wire.
 	}
 }
 
-// leaseOut is the transport-agnostic result of one lease request; the
-// JSON and packed handlers render it into their response shapes.
+// leaseOut is the transport-agnostic result of one lease request.
 type leaseOut struct {
 	done       bool
 	draining   bool
@@ -981,37 +968,10 @@ func (s *Server) lease(sess *session, eng Engine, n int, features []float64) (le
 	return out, nil
 }
 
-func (s *Server) serveLeaseN(conn net.Conn, sess *session, eng Engine, corr uint16, req *wire.LeaseNReq) bool {
-	out, err := s.lease(sess, eng, req.N, req.Features)
-	if err != nil {
-		sess.reply(conn, wire.TError, corr, &wire.ErrorResp{Code: wire.CodeInternal, Msg: err.Error()})
-		return false
-	}
-	resp := wire.LeaseNResp{
-		Epoch:      sess.rt.epoch,
-		Done:       out.done,
-		Draining:   out.draining,
-		RetryMS:    out.retryMS,
-		SuggestMax: out.suggestMax,
-	}
-	for _, tr := range out.trials {
-		wt := wire.Trial{
-			ID:          tr.ID,
-			Algo:        tr.Algo,
-			Config:      tr.Config,
-			Speculative: tr.Speculative,
-			Pinned:      tr.Pinned,
-		}
-		if !tr.Deadline.IsZero() {
-			wt.DeadlineMS = tr.Deadline.UnixMilli()
-		}
-		resp.Trials = append(resp.Trials, wt)
-	}
-	return sess.reply(conn, wire.TTrials, corr, &resp) == nil
-}
-
-func (s *Server) serveLeaseP(conn net.Conn, sess *session, eng Engine, slot *reqSlot, corr uint16, req *wire.PackedLeaseReq) bool {
-	out, err := s.lease(sess, eng, req.N, req.Features)
+// serveLease answers a lease request of type typ with the slot's trials
+// reply, in the request's encoding: packed, or the JSON LeaseNResp.
+func (s *Server) serveLease(conn net.Conn, sess *session, eng Engine, slot *reqSlot, typ wire.Type, corr uint16) bool {
+	out, err := s.lease(sess, eng, slot.lease.N, slot.lease.Features)
 	if err != nil {
 		sess.reply(conn, wire.TError, corr, &wire.ErrorResp{Code: wire.CodeInternal, Msg: err.Error()})
 		return false
@@ -1036,46 +996,31 @@ func (s *Server) serveLeaseP(conn net.Conn, sess *session, eng Engine, slot *req
 		}
 		resp.Trials[i] = pt
 	}
+	if !typ.Packed() {
+		return sess.reply(conn, wire.TTrials, corr, resp.JSON()) == nil
+	}
 	return sess.reply(conn, wire.TTrialsP, corr, resp) == nil
 }
 
-// serveCompleteN applies a completion batch. Reports from another epoch
+// serveComplete applies a completion batch. Reports from another epoch
 // (leases issued by a dead server process, or by a different tenant,
 // possibly colliding with re-issued trial IDs) are dropped wholesale —
 // acknowledged, never applied. Tenant epochs are unique within a
 // process, so a report carried across tenants always fails this check.
-func (s *Server) serveCompleteN(conn net.Conn, sess *session, eng Engine, slot *reqSlot, corr uint16, req *wire.CompleteNReq) bool {
+func (s *Server) serveComplete(conn net.Conn, sess *session, eng Engine, slot *reqSlot, typ wire.Type, corr uint16) bool {
+	req := &slot.complete
 	factor := sess.rt.factorFor(req.Worker)
 	slot.results, slot.ids = slot.results[:0], slot.ids[:0]
 	for _, r := range req.Results {
 		slot.results = append(slot.results, core.TrialResult{ID: r.ID, Value: r.Value / factor})
 		slot.ids = append(slot.ids, r.ID)
 	}
-	ack := &slot.ack
-	ack.Applied, ack.Dropped = sess.settle(slot, req.Epoch, ack.Applied, ack.Dropped,
-		func() []error { return eng.CompleteN(slot.results) })
-	return sess.reply(conn, wire.TAck, corr, ack) == nil
-}
-
-// serveCompleteP is serveCompleteN over the packed hot-path encoding:
-// same epoch gate, calibration factor and idempotent engine semantics,
-// answered with a packed ack.
-func (s *Server) serveCompleteP(conn net.Conn, sess *session, eng Engine, slot *reqSlot, corr uint16, req *wire.PackedCompleteReq) bool {
-	factor := sess.rt.factorFor(req.Worker)
-	slot.results, slot.ids = slot.results[:0], slot.ids[:0]
-	for _, r := range req.Results {
-		slot.results = append(slot.results, core.TrialResult{ID: r.ID, Value: r.Value / factor})
-		slot.ids = append(slot.ids, r.ID)
-	}
-	ack := &slot.ackP
-	ack.Applied, ack.Dropped = sess.settle(slot, req.Epoch, ack.Applied, ack.Dropped,
-		func() []error { return eng.CompleteN(slot.results) })
-	return sess.reply(conn, wire.TAckP, corr, ack) == nil
+	return sess.settle(conn, slot, typ, corr, req.Epoch, func() []error { return eng.CompleteN(slot.results) })
 }
 
 // failKindOf maps a packed failure kind byte onto guard's taxonomy;
-// unknown bytes become Invalid, mirroring the JSON path's treatment of
-// unknown kind strings.
+// unknown bytes become Invalid, as unknown JSON kind strings do (see
+// wire.FailKind).
 func failKindOf(kind uint8) guard.Kind {
 	switch kind {
 	case wire.FailPanic:
@@ -1087,27 +1032,8 @@ func failKindOf(kind uint8) guard.Kind {
 	}
 }
 
-func (s *Server) serveFailN(conn net.Conn, sess *session, eng Engine, slot *reqSlot, corr uint16, req *wire.FailNReq) bool {
-	slot.fails, slot.ids = slot.fails[:0], slot.ids[:0]
-	for _, f := range req.Fails {
-		kind, ok := guard.KindFromString(f.Kind)
-		if !ok {
-			kind = guard.Invalid
-		}
-		slot.fails = append(slot.fails, core.TrialFailure{ID: f.ID, Failure: guard.Failure{
-			Kind:    kind,
-			Err:     errors.New(f.Msg),
-			Penalty: f.Penalty,
-		}})
-		slot.ids = append(slot.ids, f.ID)
-	}
-	ack := &slot.ack
-	ack.Applied, ack.Dropped = sess.settle(slot, req.Epoch, ack.Applied, ack.Dropped,
-		func() []error { return eng.FailN(slot.fails) })
-	return sess.reply(conn, wire.TAck, corr, ack) == nil
-}
-
-func (s *Server) serveFailP(conn net.Conn, sess *session, eng Engine, slot *reqSlot, corr uint16, req *wire.PackedFailReq) bool {
+func (s *Server) serveFail(conn net.Conn, sess *session, eng Engine, slot *reqSlot, typ wire.Type, corr uint16) bool {
+	req := &slot.fail
 	slot.fails, slot.ids = slot.fails[:0], slot.ids[:0]
 	for _, f := range req.Fails {
 		slot.fails = append(slot.fails, core.TrialFailure{ID: f.ID, Failure: guard.Failure{
@@ -1117,31 +1043,34 @@ func (s *Server) serveFailP(conn net.Conn, sess *session, eng Engine, slot *reqS
 		}})
 		slot.ids = append(slot.ids, f.ID)
 	}
-	ack := &slot.ackP
-	ack.Applied, ack.Dropped = sess.settle(slot, req.Epoch, ack.Applied, ack.Dropped,
-		func() []error { return eng.FailN(slot.fails) })
-	return sess.reply(conn, wire.TAckP, corr, ack) == nil
+	return sess.settle(conn, slot, typ, corr, req.Epoch, func() []error { return eng.FailN(slot.fails) })
 }
 
-// settle runs one report batch, whose trial IDs are slot.ids: a batch
-// from another epoch is dropped whole; otherwise the IDs leave the
-// ledger and apply makes the engine call, whose aligned errors (nil =
-// applied) sort them into applied and dropped. Both lists reuse their
-// storage.
-func (sess *session) settle(slot *reqSlot, epoch int64, applied, dropped []uint64, apply func() []error) ([]uint64, []uint64) {
+// settle runs one report batch of type typ, whose trial IDs are
+// slot.ids, and answers it with the slot's ack in the request's
+// encoding: packed, or the JSON AckResp. A batch from another epoch is
+// dropped whole; otherwise the IDs leave the ledger and apply makes the
+// engine call, whose aligned errors (nil = applied) sort them into
+// applied and dropped. Both lists reuse their storage.
+func (sess *session) settle(conn net.Conn, slot *reqSlot, typ wire.Type, corr uint16, epoch int64, apply func() []error) bool {
+	ack := &slot.ack
 	if epoch != sess.rt.epoch {
-		return applied[:0], append(dropped[:0], slot.ids...)
-	}
-	sess.untrack(slot.ids)
-	applied, dropped = slices.Grow(applied[:0], len(slot.ids)), dropped[:0]
-	for i, err := range apply() {
-		if err == nil {
-			applied = append(applied, slot.ids[i])
-		} else {
-			dropped = append(dropped, slot.ids[i])
+		ack.Applied, ack.Dropped = ack.Applied[:0], append(ack.Dropped[:0], slot.ids...)
+	} else {
+		sess.untrack(slot.ids)
+		ack.Applied, ack.Dropped = slices.Grow(ack.Applied[:0], len(slot.ids)), ack.Dropped[:0]
+		for i, err := range apply() {
+			if err == nil {
+				ack.Applied = append(ack.Applied, slot.ids[i])
+			} else {
+				ack.Dropped = append(ack.Dropped, slot.ids[i])
+			}
 		}
 	}
-	return applied, dropped
+	if !typ.Packed() {
+		return sess.reply(conn, wire.TAck, corr, ack.JSON()) == nil
+	}
+	return sess.reply(conn, wire.TAckP, corr, ack) == nil
 }
 
 func (s *Server) serveHeartbeat(conn net.Conn, sess *session, eng Engine, corr uint16, req *wire.HeartbeatReq) bool {

@@ -6,8 +6,7 @@ import "hash/crc32"
 // frame Type (the packed binary bodies live in packed.go). Fields are
 // additive-only within a protocol version: decoders ignore unknown
 // fields, so new optional fields need no version bump. Every payload
-// implements the Payload codec interface; for this family the two
-// methods are the shared JSON helpers.
+// implements the Payload codec interface.
 
 // ConfigHash summarizes an algorithm roster for the handshake: workers
 // refuse to feed measurements into a run whose algorithm indices mean
@@ -320,23 +319,14 @@ type ErrorResp struct {
 }
 
 // Payload implementations for the JSON family. Each is the shared
-// helper pair; the concrete receiver only picks the struct shape.
+// helper pair; the concrete receiver only picks the struct shape. The
+// five trial messages — LeaseNReq, LeaseNResp, CompleteNReq, FailNReq
+// and AckResp — have a hand-written codec instead (jsoncodec.go).
 
 func (m *Hello) AppendEncode(buf []byte) []byte    { return appendJSON(buf, m) }
 func (m *Hello) DecodeFrom(buf []byte) error       { return decodeJSON(buf, m) }
 func (m *HelloAck) AppendEncode(buf []byte) []byte { return appendJSON(buf, m) }
 func (m *HelloAck) DecodeFrom(buf []byte) error    { return decodeJSON(buf, m) }
-
-func (m *LeaseNReq) AppendEncode(buf []byte) []byte    { return appendJSON(buf, m) }
-func (m *LeaseNReq) DecodeFrom(buf []byte) error       { return decodeJSON(buf, m) }
-func (m *LeaseNResp) AppendEncode(buf []byte) []byte   { return appendJSON(buf, m) }
-func (m *LeaseNResp) DecodeFrom(buf []byte) error      { return decodeJSON(buf, m) }
-func (m *CompleteNReq) AppendEncode(buf []byte) []byte { return appendJSON(buf, m) }
-func (m *CompleteNReq) DecodeFrom(buf []byte) error    { return decodeJSON(buf, m) }
-func (m *FailNReq) AppendEncode(buf []byte) []byte     { return appendJSON(buf, m) }
-func (m *FailNReq) DecodeFrom(buf []byte) error        { return decodeJSON(buf, m) }
-func (m *AckResp) AppendEncode(buf []byte) []byte      { return appendJSON(buf, m) }
-func (m *AckResp) DecodeFrom(buf []byte) error         { return decodeJSON(buf, m) }
 
 func (m *HeartbeatReq) AppendEncode(buf []byte) []byte  { return appendJSON(buf, m) }
 func (m *HeartbeatReq) DecodeFrom(buf []byte) error     { return decodeJSON(buf, m) }

@@ -90,8 +90,13 @@ const (
 // our own structs produce cannot fail, so AppendEncode returns no
 // error; DecodeFrom must reject, never panic on, arbitrary bytes.
 type Payload interface {
-	AppendEncode(buf []byte) []byte
+	Encoder
 	DecodeFrom(buf []byte) error
+}
+
+// Encoder is the encoding half of Payload, all a frame writer needs.
+type Encoder interface {
+	AppendEncode(buf []byte) []byte
 }
 
 // encodeFailure carries an AppendEncode marshal failure across the
@@ -266,7 +271,7 @@ func PutBuf(b *[]byte) {
 // encodes an empty payload (the bodyless requests TBest, TStats and
 // TTenants). This is the zero-allocation encode path: with a pooled
 // dst it allocates nothing in steady state.
-func AppendFrame(dst []byte, version byte, typ Type, corr uint16, p Payload) (out []byte, err error) {
+func AppendFrame(dst []byte, version byte, typ Type, corr uint16, p Encoder) (out []byte, err error) {
 	if version == 0 || version > Version {
 		return dst, ErrBadVersion
 	}
@@ -311,7 +316,7 @@ func AppendFrame(dst []byte, version byte, typ Type, corr uint16, p Payload) (ou
 
 // Encode marshals p and wraps it in a frame stamped with the current
 // Version, returning the full frame bytes.
-func Encode(typ Type, p Payload) ([]byte, error) {
+func Encode(typ Type, p Encoder) ([]byte, error) {
 	return EncodeV(Version, typ, p)
 }
 
@@ -321,12 +326,12 @@ func Encode(typ Type, p Payload) ([]byte, error) {
 // corpora. The version must be in [1, Version]; the JSON payload
 // encoding is identical across versions — only optional fields were
 // ever added — while packed payloads exist from v3 on.
-func EncodeV(version byte, typ Type, p Payload) ([]byte, error) {
+func EncodeV(version byte, typ Type, p Encoder) ([]byte, error) {
 	return AppendFrame(nil, version, typ, 0, p)
 }
 
 // WriteMsg encodes p and writes the frame to w.
-func WriteMsg(w io.Writer, typ Type, p Payload) error {
+func WriteMsg(w io.Writer, typ Type, p Encoder) error {
 	return WriteMsgV(w, Version, typ, p)
 }
 
@@ -334,13 +339,13 @@ func WriteMsg(w io.Writer, typ Type, p Payload) error {
 // EncodeV): a server holds each session at the version its client's
 // Hello arrived under, so old decoders never see frames they refuse.
 // The frame buffer is pooled — one Write, no steady-state allocation.
-func WriteMsgV(w io.Writer, version byte, typ Type, p Payload) error {
+func WriteMsgV(w io.Writer, version byte, typ Type, p Encoder) error {
 	return WriteFrame(w, version, typ, 0, p)
 }
 
 // WriteFrame encodes p with a correlation ID and writes the frame to w
 // in a single Write call, using a pooled buffer.
-func WriteFrame(w io.Writer, version byte, typ Type, corr uint16, p Payload) error {
+func WriteFrame(w io.Writer, version byte, typ Type, corr uint16, p Encoder) error {
 	bp := GetBuf()
 	frame, err := AppendFrame(*bp, version, typ, corr, p)
 	if err != nil {
@@ -353,13 +358,27 @@ func WriteFrame(w io.Writer, version byte, typ Type, corr uint16, p Payload) err
 	return err
 }
 
+// hdrPool holds ReadFrame's header buffers: a stack array would escape
+// through the io.Reader interface and cost an allocation per frame.
+var hdrPool = sync.Pool{New: func() any { return new([HeaderSize]byte) }}
+
 // ReadFrame reads and validates one frame from r, returning the message
-// type and payload bytes. The payload is freshly allocated; the
+// type and payload bytes. The payload is freshly allocated, and it is
+// the only allocation: the header is read into a pooled buffer. The
 // correlation ID is validated but discarded — pipelined readers use
 // ReadFrameBuf.
 func ReadFrame(r io.Reader) (Type, []byte, error) {
-	typ, _, payload, _, err := ReadFrameBuf(r, nil)
-	return typ, payload, err
+	hdr := hdrPool.Get().(*[HeaderSize]byte)
+	typ, _, n, sum, err := readHeader(r, hdr[:])
+	hdrPool.Put(hdr)
+	if err != nil {
+		return TInvalid, nil, err
+	}
+	payload := make([]byte, n)
+	if err := readPayload(r, payload, sum); err != nil {
+		return TInvalid, nil, err
+	}
+	return typ, payload, nil
 }
 
 // ReadFrameBuf reads and validates one frame from r into buf, growing
@@ -381,51 +400,69 @@ func ReadFrameBuf(r io.Reader, buf []byte) (typ Type, corr uint16, payload, nbuf
 	if cap(buf) < HeaderSize {
 		buf = make([]byte, 0, 4096)
 	}
-	hdr := buf[:HeaderSize]
+	typ, corr, n, sum, err := readHeader(r, buf[:HeaderSize])
+	if err != nil {
+		return TInvalid, 0, nil, buf, err
+	}
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	payload = buf[:n]
+	if err := readPayload(r, payload, sum); err != nil {
+		return TInvalid, 0, nil, buf, err
+	}
+	return typ, corr, payload, buf[:cap(buf)], nil
+}
+
+// readHeader reads one frame header into hdr and validates every field,
+// returning the type, the correlation ID, the payload length and the
+// payload's checksum.
+func readHeader(r io.Reader, hdr []byte) (typ Type, corr uint16, n, sum uint32, err error) {
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		return TInvalid, 0, nil, buf, err // clean EOF at a frame boundary
+		return TInvalid, 0, 0, 0, err // clean EOF at a frame boundary
 	}
 	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return TInvalid, 0, nil, buf, err
+		return TInvalid, 0, 0, 0, err
 	}
 	if binary.BigEndian.Uint32(hdr[0:4]) != Magic {
-		return TInvalid, 0, nil, buf, ErrBadMagic
+		return TInvalid, 0, 0, 0, ErrBadMagic
 	}
 	version := hdr[4]
 	if version == 0 || version > Version {
-		return TInvalid, 0, nil, buf, fmt.Errorf("%w: %d", ErrBadVersion, version)
+		return TInvalid, 0, 0, 0, fmt.Errorf("%w: %d", ErrBadVersion, version)
 	}
 	typ = Type(hdr[5])
 	if typ <= TInvalid || typ >= numTypes {
-		return TInvalid, 0, nil, buf, fmt.Errorf("%w: %d", ErrBadType, hdr[5])
+		return TInvalid, 0, 0, 0, fmt.Errorf("%w: %d", ErrBadType, hdr[5])
 	}
 	corr = binary.BigEndian.Uint16(hdr[6:8])
 	if corr != 0 && version < 3 {
-		return TInvalid, 0, nil, buf, ErrBadFlags
+		return TInvalid, 0, 0, 0, ErrBadFlags
 	}
 	if typ.Packed() && version < 3 {
-		return TInvalid, 0, nil, buf, fmt.Errorf("%w: packed %s frame stamped v%d", ErrBadVersion, typ, version)
+		return TInvalid, 0, 0, 0, fmt.Errorf("%w: packed %s frame stamped v%d", ErrBadVersion, typ, version)
 	}
-	n := binary.BigEndian.Uint32(hdr[8:12])
+	n = binary.BigEndian.Uint32(hdr[8:12])
 	if n > MaxPayload {
-		return TInvalid, 0, nil, buf, fmt.Errorf("%w: %d bytes", ErrOversize, n)
+		return TInvalid, 0, 0, 0, fmt.Errorf("%w: %d bytes", ErrOversize, n)
 	}
-	want := binary.BigEndian.Uint32(hdr[12:16])
-	if uint32(cap(buf)) < n {
-		buf = make([]byte, n)
-	}
-	payload = buf[:n]
+	return typ, corr, n, binary.BigEndian.Uint32(hdr[12:16]), nil
+}
+
+// readPayload fills payload from r and checks it against the header's
+// checksum.
+func readPayload(r io.Reader, payload []byte, sum uint32) error {
 	if _, err := io.ReadFull(r, payload); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return TInvalid, 0, nil, buf, err
+		return err
 	}
-	if got := crc32.ChecksumIEEE(payload); got != want {
-		return TInvalid, 0, nil, buf, fmt.Errorf("%w (want %08x, got %08x)", ErrChecksum, want, got)
+	if got := crc32.ChecksumIEEE(payload); got != sum {
+		return fmt.Errorf("%w (want %08x, got %08x)", ErrChecksum, sum, got)
 	}
-	return typ, corr, payload, buf[:cap(buf)], nil
+	return nil
 }
