@@ -37,8 +37,10 @@ chaos:
 
 # Fuzz the two frame decoders — arbitrary bytes must never panic them or
 # slip a payload past the checksum, neither from a snapshot file nor
-# from the network — the hand-written JSON trial codec, which must agree
-# with encoding/json on any input, the drift detectors, which must stay
+# from the network — the hand-written JSON trial and journal record
+# codecs, which must agree with encoding/json on any input, the journal
+# reader, which must read any file as the reflection-based reader it
+# replaced did, the drift detectors, which must stay
 # finite and panic-free on any cost stream, and the context partitioner, whose
 # routing must stay stable and replayable under arbitrary feature
 # streams and hostile restore blobs.
@@ -46,6 +48,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/checkpoint
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wire
 	$(GO) test -fuzz=FuzzJSONTrialCodec -fuzztime=10s ./internal/wire
+	$(GO) test -fuzz=FuzzJournalRecord -fuzztime=10s ./internal/checkpoint
+	$(GO) test -fuzz=FuzzReadJournal -fuzztime=10s ./internal/checkpoint
 	$(GO) test -fuzz=FuzzDriftUpdate -fuzztime=10s ./internal/stats
 	$(GO) test -fuzz=FuzzPartitioner -fuzztime=10s ./internal/ctxtune
 

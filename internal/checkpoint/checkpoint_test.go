@@ -273,7 +273,7 @@ func TestLoadLatestFallsBack(t *testing.T) {
 	if err != nil || iter != 0 {
 		t.Fatalf("LoadLatest after corruption: iter %d, err %v", iter, err)
 	}
-	recs := ReadJournalsSince(dir, 0)
+	recs, _ := ReadJournalsSince(dir, 0)
 	if len(recs) != 10 {
 		t.Fatalf("chained journals replay %d records, want 10", len(recs))
 	}
@@ -300,7 +300,7 @@ func TestReadJournalsSinceSkipsOlderRecords(t *testing.T) {
 	dir := t.TempDir()
 	writeGen(t, dir, 0, 10)
 	writeGen(t, dir, 10, 4)
-	recs := ReadJournalsSince(dir, 10)
+	recs, _ := ReadJournalsSince(dir, 10)
 	if len(recs) != 4 {
 		t.Fatalf("replay from 10 yields %d records, want 4", len(recs))
 	}

@@ -2,11 +2,9 @@ package checkpoint
 
 import (
 	"bufio"
-	"encoding/json"
-	"fmt"
+	"bytes"
 	"hash/crc32"
 	"os"
-	"strings"
 )
 
 // Record is one completed tuning iteration in the write-ahead journal.
@@ -61,9 +59,11 @@ const (
 //	crc32hex <space> json-record <newline>
 //
 // so a torn final line (the common crash artifact) is detected and
-// dropped by the reader rather than corrupting the replay.
+// dropped by the reader rather than corrupting the replay. A Journal is
+// not safe for concurrent use: its owner serializes appends.
 type Journal struct {
-	f *os.File
+	f   *os.File
+	buf []byte // the line being written, reused across appends
 }
 
 // OpenJournal opens (creating if absent) the journal for the generation
@@ -92,12 +92,8 @@ func (j *Journal) Append(rec Record) error {
 // the Sync loses at most the unsynced tail of the batch; the line CRC
 // keeps a torn final record detectable either way.
 func (j *Journal) AppendBuffered(rec Record) error {
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	line := fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(body), body)
-	_, err = j.f.WriteString(line)
+	j.buf = appendLine(j.buf[:0], &rec)
+	_, err := j.f.Write(j.buf)
 	return err
 }
 
@@ -123,37 +119,42 @@ func (j *Journal) Close() error {
 // is untrustworthy. Blank lines are skipped (they can appear when an
 // append was cut before the body). A missing file is an empty journal.
 func ReadJournal(path string) ([]Record, error) {
+	return readJournal(path, nil, &recordDecoder{})
+}
+
+// readJournal appends the valid records of one journal file to recs. On
+// an error, which can only come from opening the file, recs is returned
+// as given.
+func readJournal(path string, recs []Record, rd *recordDecoder) ([]Record, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, nil
+			return recs, nil
 		}
-		return nil, err
+		return recs, err
 	}
 	defer f.Close()
 
-	var recs []Record
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
-		var sum uint32
-		sp := strings.IndexByte(line, ' ')
-		if sp != 8 {
+		if bytes.IndexByte(line, ' ') != 8 {
 			break
 		}
-		if _, err := fmt.Sscanf(line[:sp], "%08x", &sum); err != nil {
+		sum, ok := parseCRC(line[:8])
+		if !ok {
 			break
 		}
-		body := line[sp+1:]
-		if crc32.ChecksumIEEE([]byte(body)) != sum {
+		body := line[9:]
+		if crc32.ChecksumIEEE(body) != sum {
 			break
 		}
 		var rec Record
-		if err := json.Unmarshal([]byte(body), &rec); err != nil {
+		if err := rd.decode(body, &rec); err != nil {
 			break
 		}
 		recs = append(recs, rec)
@@ -167,29 +168,31 @@ func ReadJournal(path string) ([]Record, error) {
 // snapshot still replays the full tail: the journals between the old
 // snapshot and the crash are all still on disk (pruning only removes
 // journals older than the oldest kept snapshot).
-func ReadJournalsSince(dir string, iter int) []Record {
-	var recs []Record
+//
+// It reads every generation on disk, so it also returns the highest
+// trial ID ever journaled — including records already folded into a
+// snapshot, which the returned records leave out. Resume paths use it
+// to keep fresh trial IDs disjoint from everything a previous
+// incarnation issued.
+func ReadJournalsSince(dir string, iter int) (recs []Record, maxTrial uint64) {
+	rd := &recordDecoder{}
 	for _, g := range JournalGenerations(dir) {
-		if g < iter {
+		n := len(recs)
+		var err error
+		if recs, err = readJournal(WalPath(dir, g), recs, rd); err != nil {
+			continue
+		}
+		kept := recs[:n]
+		for _, r := range recs[n:] {
+			maxTrial = max(maxTrial, r.Trial)
 			// An older generation can still contain records >= iter
 			// when iter's own snapshot was corrupt and we fell back:
-			// include its tail.
-			rs, err := ReadJournal(WalPath(dir, g))
-			if err != nil {
-				continue
+			// keep its tail.
+			if g >= iter || r.Iter >= iter {
+				kept = append(kept, r)
 			}
-			for _, r := range rs {
-				if r.Iter >= iter {
-					recs = append(recs, r)
-				}
-			}
-			continue
 		}
-		rs, err := ReadJournal(WalPath(dir, g))
-		if err != nil {
-			continue
-		}
-		recs = append(recs, rs...)
+		recs = kept
 	}
 	// Defensive: records must be strictly increasing in Iter across the
 	// chain; clip anything out of order (overlapping generations after
@@ -209,26 +212,5 @@ func ReadJournalsSince(dir string, iter int) []Record {
 			last = r.Iter
 		}
 	}
-	return out
-}
-
-// MaxJournalTrial scans every journal generation in dir for the highest
-// trial ID ever journaled — including records already folded into a
-// snapshot, which ReadJournalsSince filters out. Resume paths use it to
-// keep fresh trial IDs disjoint from everything a previous incarnation
-// issued.
-func MaxJournalTrial(dir string) uint64 {
-	var max uint64
-	for _, g := range JournalGenerations(dir) {
-		rs, err := ReadJournal(WalPath(dir, g))
-		if err != nil {
-			continue
-		}
-		for _, r := range rs {
-			if r.Trial > max {
-				max = r.Trial
-			}
-		}
-	}
-	return max
+	return out, maxTrial
 }

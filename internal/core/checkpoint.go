@@ -413,11 +413,9 @@ func Resume(dir string, every int, algos []Algorithm, selector nominal.Selector,
 	if err := t.RestoreState(payload); err != nil {
 		return nil, err
 	}
-	records := checkpoint.ReadJournalsSince(dir, snapIter)
-	for _, rec := range records {
-		if rec.Trial != 0 {
-			return nil, fmt.Errorf("core: resume from %s: journal holds trial-engine records (trial %d) — use ResumeConcurrent", dir, rec.Trial)
-		}
+	records, maxTrial := checkpoint.ReadJournalsSince(dir, snapIter)
+	if maxTrial != 0 {
+		return nil, fmt.Errorf("core: resume from %s: journal holds trial-engine records (trial %d) — use ResumeConcurrent", dir, maxTrial)
 	}
 	t.replaying = true
 	for _, rec := range records {
@@ -501,8 +499,11 @@ func ResumeConcurrent(dir string, every int, algos []Algorithm, selector nominal
 	if err := t.RestoreState(payload); err != nil {
 		return nil, err
 	}
-	records := checkpoint.ReadJournalsSince(dir, snapIter)
-	var maxTrial uint64
+	// maxTrial covers every generation on disk, including records
+	// already folded into the snapshot (a sharded incarnation may have
+	// snapshotted right before dying), so fresh IDs never collide with
+	// anything journaled.
+	records, maxTrial := checkpoint.ReadJournalsSince(dir, snapIter)
 	t.replaying = true
 	for _, rec := range records {
 		if rec.Drift != "" {
@@ -511,9 +512,6 @@ func ResumeConcurrent(dir string, every int, algos []Algorithm, selector nominal
 			// which rec.DriftP1 = false preserves on replay.
 			t.applyDriftRecord(rec)
 			continue
-		}
-		if rec.Trial > maxTrial {
-			maxTrial = rec.Trial
 		}
 		if rec.Iter < t.Iterations() {
 			continue // already inside the snapshot
@@ -553,13 +551,6 @@ func ResumeConcurrent(dir string, every int, algos []Algorithm, selector nominal
 	ct, err := wrapEngine(t, engineOpts)
 	if err != nil {
 		return nil, err
-	}
-	// maxTrial only covers the records replayed above; older generations
-	// already folded into the snapshot may hold higher IDs (a sharded
-	// incarnation snapshotted right before dying). Scan them all so fresh
-	// IDs never collide with anything journaled.
-	if all := checkpoint.MaxJournalTrial(dir); all > maxTrial {
-		maxTrial = all
 	}
 	ct.nextID = maxTrial
 	if err := t.snapshotNow(); err != nil {

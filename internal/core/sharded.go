@@ -121,7 +121,9 @@ type shard struct {
 	leases   map[uint64]*shardLease
 	seq      uint64
 	delta    []shardObs
-	spare    []shardObs // folded batch's backing array, recycled at the next swap
+	// spare is the folded batch's backing array, recycled at the next
+	// swap; nil until the first fold allocates it. Guarded by foldMu.
+	spare []shardObs
 
 	// synced is the absolute engine-log index this shard's replica has
 	// replayed through; guarded by the inner decision mutex (it is read
@@ -263,7 +265,6 @@ func newShardedOver(c *ConcurrentTuner, cfg shardConfig) (*ShardedEngine, error)
 			inFlight:   make([]int, len(t.algos)),
 			leases:     make(map[uint64]*shardLease),
 			delta:      make([]shardObs, 0, cfg.mergeEvery+8),
-			spare:      make([]shardObs, 0, cfg.mergeEvery+8),
 			pinnedAlgo: pinAlgo,
 			penalty:    pen,
 			driftSeen:  driftSeq,
@@ -703,6 +704,18 @@ func (e *ShardedEngine) flushShard(s *shard) {
 		s.mu.Unlock()
 		e.nExpired.Add(uint64(expired))
 		return
+	}
+	if s.spare == nil {
+		// The first fold allocates the second delta array, outside the
+		// shard mutex so leases and completions are not held up behind
+		// it; an engine that never folds (a resumed tenant that is
+		// spilled again soon) never pays for it. Only a fold empties
+		// the delta, so the batch is still there, possibly longer.
+		s.mu.Unlock()
+		spare := make([]shardObs, 0, e.mergeEvery+8)
+		s.mu.Lock()
+		s.spare = spare
+		batch = s.delta
 	}
 	// Swap in the previously folded batch's backing array: deltas
 	// alternate between two arrays in steady state, allocation-free.
