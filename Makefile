@@ -1,7 +1,7 @@
 # Tier-1 gate: `make check` must pass before any change lands.
 GO ?= go
 
-.PHONY: check lint vet build test race bench figures fuzz chaos
+.PHONY: check lint vet build test race bench figures fuzz chaos loc
 
 check: lint build test race
 
@@ -27,12 +27,13 @@ race:
 
 # Short chaos soak (CI-viable, well under a minute): the fault-injection
 # layer's own tests, the partition/reconnect and loopback soak of the
-# distributed service, and the A14 ablation — all under -race. The full
+# distributed service, the worker loop in its pipelined and lockstep
+# modes, and the A14 ablation — all under -race. The full
 # tier-1 `race` target runs these too; this target is the quick loop for
 # iterating on the failure semantics alone.
 chaos:
 	$(GO) test -race ./internal/chaos
-	$(GO) test -race -run 'TestChaos|TestDegradedMode|TestDrain|TestAbsorb|TestSessionCap|TestGlobalCap' \
+	$(GO) test -race -run 'TestChaos|TestDegradedMode|TestDrain|TestAbsorb|TestSessionCap|TestGlobalCap|TestWorkerPipeline|TestWorkerLockstep' \
 		./internal/tuned ./internal/exp
 
 # Fuzz the two frame decoders — arbitrary bytes must never panic them or
@@ -65,3 +66,8 @@ bench:
 
 figures:
 	$(GO) run ./cmd/atune-figures
+
+# Non-test Go lines outside the benchmark module: the size the
+# codebase is tracked by (see ROADMAP.md). Informational, not a gate.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' | xargs cat | wc -l

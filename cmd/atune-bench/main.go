@@ -20,11 +20,11 @@
 // counts and LeaseN/CompleteN batch sizes. Here the measurement is
 // free, so leases/sec is purely protocol round-trip overhead — the
 // batch-size columns show what wire batching buys. -pipeline (the
-// default) runs the v3 hot path — packed trial frames multiplexed over
-// one pipelined connection per client; -pipeline=false measures the
-// lockstep pooled path for comparison. -gate reads the committed
-// document at -out before overwriting it and fails the run when
-// batch=16 throughput regressed more than 20% against it.
+// default) runs the v3 hot path — pipelined workers multiplexing packed
+// trial frames over one shared connection; -pipeline=false measures
+// lockstep workers with a connection each for comparison. -gate reads
+// the committed document at -out before overwriting it and fails the
+// run when batch=16 throughput regressed more than 20% against it.
 //
 // -shards benchmarks sharded selection: the in-process engine swept
 // over (workers × shards) with a free measurement, so leases/sec is
@@ -162,7 +162,7 @@ func main() {
 		sleep    = flag.Duration("sleep", 2*time.Millisecond, "fixed wall-clock cost per trial")
 		workers  = flag.String("workers", "1,4,16", "comma-separated worker counts")
 		wire     = flag.Bool("wire", false, "benchmark the loopback TCP wire path instead of the in-process engine")
-		pipeline = flag.Bool("pipeline", true, "use the v3 hot path: packed frames over pipelined connections (with -wire)")
+		pipeline = flag.Bool("pipeline", true, "use the v3 hot path: pipelined workers sharing one connection (with -wire)")
 		gate     = flag.Bool("gate", false, "fail if batch=16 throughput regresses >20% vs the committed -out document")
 		batches  = flag.String("batches", "1,16", "comma-separated LeaseN batch sizes (with -wire)")
 		shards   = flag.Bool("shards", false, "benchmark sharded selection across shard counts")

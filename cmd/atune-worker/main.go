@@ -88,7 +88,7 @@ func main() {
 		calEvery  = flag.Int("calibrate", 0, "re-run the reference probe every N reported trials (0 = no calibration)")
 		tenantFlg = flag.String("tenant", "", "tenant to tune for on a multi-tenant server (empty = the default tenant)")
 		featFlg   = flag.String("features", "", "comma-separated feature vector attached to every lease, e.g. 4 for a DNA corpus (empty = global context)")
-		pipeFlg   = flag.Bool("pipeline", false, "pipeline the connection and overlap wire round trips with measurement")
+		pipeFlg   = flag.Bool("pipeline", false, "prefetch the next lease while a batch measures and let reports settle without waiting for their acks")
 	)
 	flag.Parse()
 
@@ -120,9 +120,6 @@ func main() {
 	}
 
 	copts := []tuned.ClientOption{tuned.WithClientName(hostname())}
-	if *pipeFlg {
-		copts = append(copts, tuned.WithPipeline(0))
-	}
 	if len(feats) > 0 {
 		copts = append(copts, tuned.WithFeatures(feats))
 		log.Printf("feature vector %v attached to every lease", feats)

@@ -406,7 +406,7 @@ func Resume(dir string, every int, algos []Algorithm, selector nominal.Selector,
 	if err != nil {
 		return nil, fmt.Errorf("core: resume from %s: %w", dir, err)
 	}
-	t, err := New(algos, selector, factory, seed, opts...)
+	t, err := NewTuner(algos, selector, factory, seed, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -484,7 +484,7 @@ func Resume(dir string, every int, algos []Algorithm, selector nominal.Selector,
 // dir with the given cadence, has written a fresh snapshot, and issues
 // trial IDs above every journaled one.
 func ResumeConcurrent(dir string, every int, algos []Algorithm, selector nominal.Selector, factory search.Factory, seed int64, opts ...Option) (*ConcurrentTuner, error) {
-	tunerOpts, engineOpts, err := splitEngineOptions(opts)
+	tunerOpts, engineOpts, err := splitEngineOpts(opts)
 	if err != nil {
 		return nil, err
 	}

@@ -149,7 +149,7 @@ type ConcurrentTuner struct {
 // options (WithLeaseTimeout, WithMaxInFlight); sharded-scope options are
 // rejected with ErrOptionScope.
 func NewConcurrentTuner(algos []Algorithm, selector nominal.Selector, factory search.Factory, seed int64, opts ...Option) (*ConcurrentTuner, error) {
-	tunerOpts, engineOpts, err := splitEngineOptions(opts)
+	tunerOpts, engineOpts, err := splitEngineOpts(opts)
 	if err != nil {
 		return nil, err
 	}

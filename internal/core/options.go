@@ -9,11 +9,10 @@ import (
 
 // ErrOptionScope is returned (wrapped) by a constructor handed an Option
 // that does not apply to what it builds — for example WithMaxInFlight on
-// the sequential NewTuner, or WithShards on NewConcurrentTuner. The old
-// split between Option (tuner) and EngineOption (engine) made such
-// mismatches unrepresentable but forced every caller to juggle two
-// slices; the unified type makes them representable and loud instead of
-// silently no-oping.
+// the sequential NewTuner, or WithShards on NewConcurrentTuner. One
+// option type spares callers juggling a slice per constructor, at the
+// price of such mismatches being representable; the error makes them
+// loud instead of silently no-oping.
 var ErrOptionScope = errors.New("option does not apply to this constructor")
 
 // An Option configures any of the core constructors. One option type
@@ -27,12 +26,6 @@ type Option struct {
 	sharded func(*shardConfig)
 }
 
-// EngineOption is the former engine-only option type.
-//
-// Deprecated: Option now covers every constructor; EngineOption is an
-// alias kept so existing []EngineOption call sites compile unchanged.
-type EngineOption = Option
-
 func tunerOption(name string, f func(*Tuner)) Option {
 	return Option{name: name, tuner: f}
 }
@@ -45,10 +38,10 @@ func shardedOption(name string, f func(*shardConfig)) Option {
 	return Option{name: name, sharded: f}
 }
 
-// splitEngineOptions partitions options for a constructor that builds a
+// splitEngineOpts partitions options for a constructor that builds a
 // Tuner wrapped in a ConcurrentTuner; sharded-only options are out of
 // scope there.
-func splitEngineOptions(opts []Option) (tunerOpts, engineOpts []Option, err error) {
+func splitEngineOpts(opts []Option) (tunerOpts, engineOpts []Option, err error) {
 	for _, o := range opts {
 		switch {
 		case o.tuner != nil:

@@ -24,8 +24,8 @@ import (
 // protocol round trips — exactly the overhead batching is meant to
 // amortize. Cells are [len(workerCounts)][len(batchSizes)].
 //
-// The clients run the lockstep JSON-era shape: pooled connections, one
-// request in flight each. LoopbackThroughputPipelined is the v3 hot
+// The workers run lockstep, each over a client of its own: one request
+// in flight per connection. LoopbackThroughputPipelined is the v3 hot
 // path.
 func LoopbackThroughput(workerCounts, batchSizes []int, total int) ([][]float64, error) {
 	return loopbackSweep(workerCounts, batchSizes, total, false)
@@ -33,8 +33,8 @@ func LoopbackThroughput(workerCounts, batchSizes []int, total int) ([][]float64,
 
 // LoopbackThroughputPipelined is LoopbackThroughput over the v3 hot
 // path: every client multiplexes packed trial frames over one
-// pipelined connection, and every worker overlaps its next lease with
-// the current batch's measurement.
+// connection, and every worker overlaps its next lease with the current
+// batch's measurement.
 func LoopbackThroughputPipelined(workerCounts, batchSizes []int, total int) ([][]float64, error) {
 	return loopbackSweep(workerCounts, batchSizes, total, true)
 }
@@ -315,7 +315,7 @@ func loopbackCellSel(workers, batch, total int, pipelined bool, sel nominal.Sele
 	// Lockstep workers keep a connection each.
 	var shared *Client
 	if pipelined {
-		c, err := Dial(addr, WithPipeline(0))
+		c, err := Dial(addr)
 		if err != nil {
 			return 0, err
 		}

@@ -102,13 +102,13 @@ func TestCalibrateNormalizesReports(t *testing.T) {
 	if _, _, err := c.Calibrate(9, 4.0); err != nil { // 4× slower
 		t.Fatal(err)
 	}
-	c.SetWorker(9)
-	lb, err := c.LeaseN(1)
+	s := c.Session(SessionWorker(9))
+	lb, err := s.LeaseN(1)
 	if err != nil || len(lb.Trials) != 1 {
 		t.Fatalf("LeaseN: %v (%d trials)", err, len(lb.Trials))
 	}
 	// The slow worker measures 8.0 of wall time; normalized that is 2.0.
-	if _, _, err := c.CompleteN(lb.Epoch, []core.TrialResult{{ID: lb.Trials[0].ID, Value: 8.0}}); err != nil {
+	if _, _, err := s.CompleteN(lb.Epoch, []core.TrialResult{{ID: lb.Trials[0].ID, Value: 8.0}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, v := srv.Engine().Best(); v != 2.0 {

@@ -19,14 +19,13 @@ import (
 
 // Client defaults.
 const (
-	DefaultPoolSize       = 4
 	DefaultRequestTimeout = 5 * time.Second
 	DefaultRetries        = 6
 	DefaultBackoffBase    = 25 * time.Millisecond
 	DefaultBackoffMax     = time.Second
 
-	// DefaultPipelineWindow is the in-flight request window WithPipeline
-	// uses when given a non-positive value. It matches the server's own
+	// DefaultPipelineWindow is a client's in-flight request window unless
+	// WithPipeline sets another. It matches the server's own
 	// pipelineWindow so one client can saturate its connection without
 	// tripping the server's protection limit.
 	DefaultPipelineWindow = 32
@@ -54,31 +53,18 @@ func (e *RemoteError) Error() string {
 // ClientOption configures a Client.
 type ClientOption func(*Client)
 
-// WithPoolSize bounds the number of idle pooled connections (default
-// DefaultPoolSize). Concurrent requests beyond the pool dial extra
-// connections that are closed instead of pooled when they return.
-// Ignored while pipelining is on: a pipelined client multiplexes every
-// request over one connection.
-func WithPoolSize(n int) ClientOption {
-	return func(c *Client) {
-		if n > 0 {
-			c.poolSize = n
-		}
-	}
-}
-
-// WithPipeline multiplexes all requests over a single connection with
-// up to window of them in flight at once, matched to their responses by
-// correlation ID, so a request no longer waits for its predecessor's
-// round trip. window ≤ 0 means DefaultPipelineWindow. Requires a v3
-// server; against an older handshake the client silently falls back to
-// pooled lockstep connections.
+// WithPipeline sets how many requests the client keeps in flight on its
+// connection at once, matched to their responses by correlation ID, so a
+// request no longer waits for its predecessor's round trip. window ≤ 0
+// means DefaultPipelineWindow. Against a pre-v3 server, whose frames
+// carry no correlation ID, the window is 1: one request at a time, each
+// reply matched by order.
 func WithPipeline(window int) ClientOption {
 	return func(c *Client) {
 		if window <= 0 {
 			window = DefaultPipelineWindow
 		}
-		c.pwindow = window
+		c.window = window
 	}
 }
 
@@ -137,7 +123,7 @@ func WithTenant(name string) ClientOption {
 // server can apply that worker's calibrated speed factor. Zero (the
 // default) reports anonymously with factor 1.
 func WithWorker(id uint64) ClientOption {
-	return func(c *Client) { c.worker.Store(id) }
+	return func(c *Client) { c.worker = id }
 }
 
 // WithFeatures sets the client's sticky feature vector: LeaseN attaches
@@ -147,7 +133,7 @@ func WithWorker(id uint64) ClientOption {
 // requests feature-less — the global context. Servers without
 // contextual routing ignore the field entirely.
 func WithFeatures(f []float64) ClientOption {
-	return func(c *Client) { c.SetFeatures(f) }
+	return func(c *Client) { c.feats = append([]float64(nil), f...) }
 }
 
 // WithDialer replaces the TCP dialer, letting tests and soak runs route
@@ -167,45 +153,33 @@ func WithDialer(dial func(network, addr string, timeout time.Duration) (net.Conn
 // the retry budget is invisible to callers except through the changed
 // epoch.
 //
-// By default each request occupies one pooled connection for its full
-// round trip. With WithPipeline, all requests share one connection and
-// overlap on the wire — the mode the hot path (LeaseN/CompleteN/FailN)
-// is designed for.
+// All requests share one connection, and so one server session: up to
+// the WithPipeline window of them overlap on the wire, and a lone
+// caller's request goes out at once. Session caps and shard pinning
+// therefore apply per client.
 type Client struct {
 	addr   string
 	name   string
 	tenant string
+	worker uint64    // worker identity stamped into reports (WithWorker)
+	feats  []float64 // sticky lease feature vector (WithFeatures)
 
-	poolSize    int
-	pwindow     int // 0 = lockstep pool; >0 = pipelined window
+	window      int
 	timeout     time.Duration
 	retries     int
 	backoffBase time.Duration
 	backoffMax  time.Duration
 	dialFn      func(network, addr string, timeout time.Duration) (net.Conn, error)
 
-	pool    chan *clientConn
-	pmu     sync.Mutex  // guards pconn
-	pconn   *clientConn // the shared pipelined connection
+	pmu     sync.Mutex // guards p
+	p       *pipe      // the live connection; nil after a failure until redialed
 	proto   atomic.Uint32
 	hash    atomic.Uint32 // expected/pinned config hash (0 = unpinned)
 	epoch   atomic.Int64  // most recent epoch seen in a handshake
 	algos   atomic.Pointer[[]string]
 	ttlMS   atomic.Int64
-	refAlgo atomic.Int64  // calibration reference algorithm (handshake)
-	worker  atomic.Uint64 // worker identity stamped into reports
-	feats   atomic.Pointer[[]float64]
+	refAlgo atomic.Int64 // calibration reference algorithm (handshake)
 	closed  atomic.Bool
-}
-
-// clientConn is one connection with its handshake result.
-type clientConn struct {
-	conn  net.Conn
-	br    *bufio.Reader
-	rbuf  []byte // frame read buffer, reused across lockstep requests
-	epoch int64
-	proto byte
-	pipe  *pipe // non-nil on the shared pipelined connection
 }
 
 // Dial connects to a tuning server, performing an eager handshake so a
@@ -214,7 +188,7 @@ type clientConn struct {
 func Dial(addr string, opts ...ClientOption) (*Client, error) {
 	c := &Client{
 		addr:        addr,
-		poolSize:    DefaultPoolSize,
+		window:      DefaultPipelineWindow,
 		timeout:     DefaultRequestTimeout,
 		retries:     DefaultRetries,
 		backoffBase: DefaultBackoffBase,
@@ -224,22 +198,16 @@ func Dial(addr string, opts ...ClientOption) (*Client, error) {
 	for _, o := range opts {
 		o(c)
 	}
-	c.pool = make(chan *clientConn, c.poolSize)
-	cc, err := c.dial()
+	p, err := c.dial()
 	if err != nil {
 		return nil, err
 	}
-	if c.pipelined() {
-		cc.pipe = newPipe(cc, c.pwindow, c.timeout)
-		c.pconn = cc
-	} else {
-		c.put(cc)
-	}
+	c.p = p
 	return c, nil
 }
 
-// dial opens and handshakes one connection.
-func (c *Client) dial() (*clientConn, error) {
+// dial opens and handshakes one connection and starts its pipe.
+func (c *Client) dial() (*pipe, error) {
 	conn, err := c.dialFn("tcp", c.addr, c.timeout)
 	if err != nil {
 		return nil, err
@@ -291,7 +259,11 @@ func (c *Client) dial() (*clientConn, error) {
 	c.ttlMS.Store(ack.LeaseTTLMS)
 	c.refAlgo.Store(int64(ack.RefAlgo))
 	c.proto.Store(uint32(proto))
-	return &clientConn{conn: conn, br: br, epoch: ack.Epoch, proto: proto}, nil
+	window := c.window
+	if proto < 3 {
+		window = 1
+	}
+	return newPipe(conn, br, proto, window, c.timeout), nil
 }
 
 // protoByte is the protocol version negotiated in the most recent
@@ -299,58 +271,19 @@ func (c *Client) dial() (*clientConn, error) {
 // callers never see that).
 func (c *Client) protoByte() byte { return byte(c.proto.Load()) }
 
-// pipelined reports whether requests go through the shared pipelined
-// connection. It requires both the option and a v3 handshake; against
-// an older server the client falls back to pooled lockstep.
-func (c *Client) pipelined() bool {
-	return c.pwindow > 0 && c.protoByte() >= 3
-}
-
-// get returns a pooled connection or dials a new one.
-func (c *Client) get() (*clientConn, error) {
-	select {
-	case cc := <-c.pool:
-		return cc, nil
-	default:
-		return c.dial()
-	}
-}
-
-// put returns a connection to the pool, closing it when the pool is
-// full.
-func (c *Client) put(cc *clientConn) {
-	if c.closed.Load() {
-		cc.conn.Close()
-		return
-	}
-	select {
-	case c.pool <- cc:
-	default:
-		cc.conn.Close()
-	}
-}
-
-// Close closes the client, its pooled connections, and the pipelined
-// connection if any. In-flight requests on borrowed connections finish;
-// their connections are closed on return.
+// Close closes the client and its connection. Requests still in flight
+// fail with ErrClosed.
 func (c *Client) Close() error {
 	if !c.closed.CompareAndSwap(false, true) {
 		return nil
 	}
 	c.pmu.Lock()
-	if c.pconn != nil {
-		c.pconn.pipe.fail(ErrClosed)
-		c.pconn = nil
+	if c.p != nil {
+		c.p.fail(ErrClosed)
+		c.p = nil
 	}
 	c.pmu.Unlock()
-	for {
-		select {
-		case cc := <-c.pool:
-			cc.conn.Close()
-		default:
-			return nil
-		}
-	}
+	return nil
 }
 
 // Epoch returns the session epoch from the most recent handshake. A
@@ -377,45 +310,10 @@ func (c *Client) LeaseTTL() time.Duration {
 // from the most recent handshake.
 func (c *Client) RefAlgo() int { return int(c.refAlgo.Load()) }
 
-// SetWorker stamps subsequent CompleteN reports with a worker identity.
-//
-// Deprecated: mutating a shared client mid-flight races with its other
-// users. Configure the identity at construction with WithWorker, or
-// take a per-worker view with Session(SessionWorker(id)).
-func (c *Client) SetWorker(id uint64) { c.worker.Store(id) }
-
-// SetFeatures replaces the client's sticky feature vector (see
-// WithFeatures); nil reverts to feature-less global requests.
-//
-// Deprecated: mutating a shared client mid-flight races with its other
-// users. Configure the vector at construction with WithFeatures, or
-// take a per-context view with Session(SessionFeatures(f)).
-func (c *Client) SetFeatures(f []float64) {
-	if f == nil {
-		c.feats.Store(nil)
-		return
-	}
-	cp := append([]float64(nil), f...)
-	c.feats.Store(&cp)
-}
-
-// Features returns a copy of the sticky feature vector (nil when
-// unset).
-//
-// Deprecated: read the vector off a Session handle instead.
-func (c *Client) Features() []float64 {
-	p := c.feats.Load()
-	if p == nil {
-		return nil
-	}
-	return append([]float64(nil), (*p)...)
-}
-
 // Session is an immutable per-worker view of a Client: a worker
 // identity and a feature vector fixed at construction, sharing the
-// client's connections, retry policy and handshake state. Two sessions
-// of one client never race each other's identity the way the deprecated
-// SetWorker/SetFeatures mutators could.
+// client's connection, retry policy and handshake state, so workers
+// that share a client keep their own identities.
 type Session struct {
 	c      *Client
 	worker uint64
@@ -438,12 +336,9 @@ func SessionFeatures(f []float64) SessionOption {
 }
 
 // Session derives an immutable per-worker handle. Without options it
-// snapshots the client's current worker identity and feature vector.
+// takes the client's own worker identity and feature vector.
 func (c *Client) Session(opts ...SessionOption) *Session {
-	s := &Session{c: c, worker: c.worker.Load()}
-	if p := c.feats.Load(); p != nil {
-		s.feats = append([]float64(nil), (*p)...)
-	}
+	s := &Session{c: c, worker: c.worker, feats: c.feats}
 	for _, o := range opts {
 		o(s)
 	}
@@ -511,12 +406,7 @@ func (c *Client) roundTripRetries(retries int, reqType wire.Type, req wire.Paylo
 		if c.closed.Load() {
 			return ErrClosed
 		}
-		var err error
-		if c.pipelined() {
-			err = c.pipeDo(reqType, req, respType, resp)
-		} else {
-			err = c.poolDo(reqType, req, respType, resp)
-		}
+		err := c.pipeDo(reqType, req, respType, resp)
 		if err == nil {
 			return nil
 		}
@@ -530,36 +420,6 @@ func (c *Client) roundTripRetries(retries int, reqType wire.Type, req wire.Paylo
 		lastErr = err
 	}
 	return fmt.Errorf("tuned: %s to %s failed after %d attempts: %w", reqType, c.addr, retries+1, lastErr)
-}
-
-// poolDo runs one lockstep exchange on a pooled connection.
-func (c *Client) poolDo(reqType wire.Type, req wire.Payload, respType wire.Type, resp wire.Payload) error {
-	cc, err := c.get()
-	if err != nil {
-		return err
-	}
-	err = c.attempt(cc, reqType, req, respType, resp)
-	if err == nil {
-		c.put(cc)
-		return nil
-	}
-	cc.conn.Close()
-	return err
-}
-
-// attempt performs one request/response exchange on one connection.
-func (c *Client) attempt(cc *clientConn, reqType wire.Type, req wire.Payload, respType wire.Type, resp wire.Payload) error {
-	cc.conn.SetDeadline(time.Now().Add(c.timeout))
-	defer cc.conn.SetDeadline(time.Time{})
-	if err := wire.WriteFrame(cc.conn, cc.proto, reqType, 0, req); err != nil {
-		return err
-	}
-	typ, _, payload, rbuf, err := wire.ReadFrameBuf(cc.br, cc.rbuf)
-	cc.rbuf = rbuf
-	if err != nil {
-		return err
-	}
-	return decodeResp(typ, payload, respType, resp)
 }
 
 // decodeResp interprets one response frame against the expected type,
@@ -581,9 +441,8 @@ func decodeResp(typ wire.Type, payload []byte, respType wire.Type, resp wire.Pay
 	return resp.DecodeFrom(payload)
 }
 
-// pipeDo runs one exchange over the shared pipelined connection,
-// dropping the connection on transport failure so the next attempt
-// redials.
+// pipeDo runs one exchange over the client's connection, dropping the
+// connection on transport failure so the next attempt redials.
 func (c *Client) pipeDo(reqType wire.Type, req wire.Payload, respType wire.Type, resp wire.Payload) error {
 	p, err := c.getPipe()
 	if err != nil {
@@ -599,42 +458,50 @@ func (c *Client) pipeDo(reqType wire.Type, req wire.Payload, respType wire.Type,
 	return err
 }
 
-// getPipe returns the live pipelined connection, dialing one when none
-// exists or the previous one failed.
+// getPipe returns the live connection, dialing one when none exists or
+// the previous one failed. Checking closed under pmu keeps a dial that
+// races Close from outliving it.
 func (c *Client) getPipe() (*pipe, error) {
 	c.pmu.Lock()
 	defer c.pmu.Unlock()
-	if c.pconn != nil && c.pconn.pipe.alive() {
-		return c.pconn.pipe, nil
+	if c.closed.Load() {
+		return nil, ErrClosed
 	}
-	cc, err := c.dial()
+	if c.p != nil && c.p.alive() {
+		return c.p, nil
+	}
+	p, err := c.dial()
 	if err != nil {
 		return nil, err
 	}
-	cc.pipe = newPipe(cc, c.pwindow, c.timeout)
-	c.pconn = cc
-	return cc.pipe, nil
+	c.p = p
+	return p, nil
 }
 
-// dropPipe discards a failed pipelined connection (unless a concurrent
-// request already replaced it).
+// dropPipe discards a failed connection (unless a concurrent request
+// already replaced it).
 func (c *Client) dropPipe(p *pipe) {
 	c.pmu.Lock()
-	if c.pconn != nil && c.pconn.pipe == p {
-		c.pconn = nil
+	if c.p == p {
+		c.p = nil
 	}
 	c.pmu.Unlock()
-	p.fail(errors.New("tuned: pipelined connection dropped"))
+	p.fail(errors.New("tuned: connection dropped"))
 }
 
 // pipe multiplexes concurrent requests over one connection. Each
 // request takes a window slot, registers its response struct under a
 // fresh correlation ID, writes its frame, and waits; a single reader
 // goroutine decodes responses straight into the registered structs in
-// whatever order the server answers. Any transport error fails every
-// in-flight request at once — the callers' retry loops redial.
+// whatever order the server answers. A pre-v3 connection is a window-1
+// pipe whose one request in flight goes under correlation ID 0, which
+// is exactly the lockstep exchange those servers speak. Any transport
+// error fails every in-flight request at once — the callers' retry
+// loops redial.
 type pipe struct {
-	cc      *clientConn
+	conn    net.Conn
+	br      *bufio.Reader
+	proto   byte
 	window  chan struct{}
 	timeout time.Duration // per write syscall and per reply wait
 	w       *frameWriter
@@ -675,12 +542,14 @@ func (c *pcall) release() {
 	pcalls.Put(c)
 }
 
-func newPipe(cc *clientConn, window int, timeout time.Duration) *pipe {
+func newPipe(conn net.Conn, br *bufio.Reader, proto byte, window int, timeout time.Duration) *pipe {
 	p := &pipe{
-		cc:      cc,
+		conn:    conn,
+		br:      br,
+		proto:   proto,
 		window:  make(chan struct{}, window),
 		timeout: timeout,
-		w:       newFrameWriter(cc.conn, timeout),
+		w:       newFrameWriter(conn, timeout),
 		pending: make(map[uint16]*pcall),
 		done:    make(chan struct{}),
 	}
@@ -715,13 +584,17 @@ func (p *pipe) do(reqType wire.Type, req wire.Payload, respType wire.Type, resp 
 	call := pcalls.Get().(*pcall)
 	call.respType, call.resp = respType, resp
 	// Correlation IDs cycle through 1..65535; 0 stays reserved for
-	// unsolicited frames. The window is far smaller than the ID space,
-	// so a live ID can never be reissued before its response lands.
-	p.corr++
-	if p.corr == 0 {
-		p.corr = 1
+	// unsolicited frames and for pre-v3 connections. The window is far
+	// smaller than the ID space, so a live ID can never be reissued
+	// before its response lands.
+	var corr uint16
+	if p.proto >= 3 {
+		p.corr++
+		if p.corr == 0 {
+			p.corr = 1
+		}
+		corr = p.corr
 	}
-	corr := p.corr
 	p.pending[corr] = call
 	p.mu.Unlock()
 
@@ -730,7 +603,7 @@ func (p *pipe) do(reqType wire.Type, req wire.Payload, respType wire.Type, resp 
 	// lone caller flushes at once; with other calls in flight the last
 	// writer yields first so they can join (see frameWriter.send).
 	p.w.commit()
-	if err := p.w.send(p.cc.proto, reqType, corr, req, len(p.window) > 1); err != nil {
+	if err := p.w.send(p.proto, reqType, corr, req, len(p.window) > 1); err != nil {
 		p.fail(err)
 		return err
 	}
@@ -754,7 +627,7 @@ func (p *pipe) do(reqType wire.Type, req wire.Payload, respType wire.Type, resp 
 func (p *pipe) readLoop() {
 	var buf []byte
 	for {
-		typ, corr, payload, nbuf, err := wire.ReadFrameBuf(p.cc.br, buf)
+		typ, corr, payload, nbuf, err := wire.ReadFrameBuf(p.br, buf)
 		if err != nil {
 			p.fail(err)
 			return
@@ -787,7 +660,7 @@ func (p *pipe) fail(err error) {
 	p.pending = make(map[uint16]*pcall)
 	close(p.done)
 	p.mu.Unlock()
-	p.cc.conn.Close()
+	p.conn.Close()
 	for _, call := range calls {
 		call.ch <- err
 	}
@@ -812,7 +685,7 @@ type LeaseBatch struct {
 // LeaseN leases up to n trials in one round trip, attaching the sticky
 // feature vector (if any) so a contextual server can route the lease.
 func (c *Client) LeaseN(n int) (LeaseBatch, error) {
-	return c.leaseN(c.Features(), n)
+	return c.leaseN(c.feats, n)
 }
 
 // LeaseNFor leases up to n trials under an explicit feature vector,
@@ -943,7 +816,7 @@ func ownIDs(ack *wire.PackedAck) (applied, dropped []uint64) {
 // not failures: the engine had already charged those trials (expired
 // lease, duplicate report, or older epoch).
 func (c *Client) CompleteN(epoch int64, results []core.TrialResult) (applied, dropped []uint64, err error) {
-	return c.completeN(c.worker.Load(), epoch, results)
+	return c.completeN(c.worker, epoch, results)
 }
 
 func (c *Client) completeN(worker uint64, epoch int64, results []core.TrialResult) (applied, dropped []uint64, err error) {

@@ -18,7 +18,7 @@ import (
 // not-yet-measured trials dead and measureBatch skips them instead of
 // wasting the measurement.
 func TestHeartbeatDropsReclaimedLease(t *testing.T) {
-	_, addr := startServer(t, []core.EngineOption{core.WithLeaseTimeout(40 * time.Millisecond)})
+	_, addr := startServer(t, []core.Option{core.WithLeaseTimeout(40 * time.Millisecond)})
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func TestHeartbeatDropsReclaimedLease(t *testing.T) {
 	if len(lb.Trials) != 2 {
 		t.Fatalf("leased %d trials, want 2", len(lb.Trials))
 	}
-	results, fails, abandoned := w.measureBatch(context.Background(), lb)
+	results, fails, abandoned := w.measureBatch(context.Background(), c.Session(), lb)
 	if abandoned {
 		t.Fatal("measureBatch reported abandoned without cancellation")
 	}
@@ -124,7 +124,7 @@ func TestAbsorbDedup(t *testing.T) {
 // per-session cap and that the cap is returned as trials complete.
 func TestSessionCap(t *testing.T) {
 	_, addr := startServer(t, nil, WithSessionCap(2))
-	c, err := Dial(addr, WithPoolSize(1))
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,12 +161,12 @@ func TestSessionCap(t *testing.T) {
 // TestGlobalCap checks the server-wide in-flight bound across sessions.
 func TestGlobalCap(t *testing.T) {
 	_, addr := startServer(t, nil, WithGlobalCap(3))
-	c1, err := Dial(addr, WithPoolSize(1))
+	c1, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	c2, err := Dial(addr, WithPoolSize(1))
+	c2, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	go srv.Serve(ln)
-	c, err := Dial(ln.Addr().String(), WithPoolSize(1))
+	c, err := Dial(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

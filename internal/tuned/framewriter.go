@@ -1,7 +1,6 @@
 package tuned
 
 import (
-	"bufio"
 	"io"
 	"net"
 	"runtime"
@@ -24,20 +23,27 @@ import (
 // when other calls are in flight (see send).
 type frameWriter struct {
 	mu        sync.Mutex
-	bw        *bufio.Writer
+	w         io.Writer
+	buf       []byte       // frames not yet written
+	err       error        // sticky: a failed write leaves the stream torn
 	committed atomic.Int32 // writers committed to a send not yet buffered
 }
 
+// flushAt bounds the buffered bytes: a burst that outgrows it is written
+// without waiting for the burst's last writer.
+const flushAt = 64 << 10
+
 // newFrameWriter buffers frames for conn. A positive timeout arms the
 // connection's write deadline before every write syscall — one deadline
-// per syscall, however many frames it carries, and bufio's implicit
-// flush of a full buffer is covered too.
+// per syscall, however many frames it carries. The buffer grows to the
+// connection's largest burst, so a connection with one request at a
+// time holds one frame's worth, not a fixed block.
 func newFrameWriter(conn net.Conn, timeout time.Duration) *frameWriter {
 	var w io.Writer = conn
 	if timeout > 0 {
 		w = deadlineWriter{conn, timeout}
 	}
-	return &frameWriter{bw: bufio.NewWriterSize(w, 64<<10)}
+	return &frameWriter{w: w}
 }
 
 // commit announces a send to come. Every commit must be followed by
@@ -54,11 +60,12 @@ func (w *frameWriter) commit() { w.committed.Add(1) }
 func (w *frameWriter) send(proto byte, typ wire.Type, corr uint16, p wire.Encoder, groupFlush bool) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	err := wire.WriteFrame(w.bw, proto, typ, corr, p)
-	if w.committed.Add(-1) > 0 {
+	buf, err := wire.AppendFrame(w.buf, proto, typ, corr, p)
+	w.buf = buf
+	if w.committed.Add(-1) > 0 && len(w.buf) < flushAt {
 		return err
 	}
-	if groupFlush && err == nil {
+	if groupFlush && err == nil && len(w.buf) < flushAt {
 		w.mu.Unlock()
 		runtime.Gosched()
 		w.mu.Lock()
@@ -66,10 +73,24 @@ func (w *frameWriter) send(proto byte, typ wire.Type, corr uint16, p wire.Encode
 			return nil
 		}
 	}
-	if ferr := w.bw.Flush(); err == nil {
+	if ferr := w.flush(); err == nil {
 		err = ferr
 	}
 	return err
+}
+
+// flush writes the buffered frames in one write. A buffer an outsized
+// frame grew past twice flushAt is dropped rather than kept for the
+// connection's lifetime.
+func (w *frameWriter) flush() error {
+	if w.err == nil && len(w.buf) > 0 {
+		_, w.err = w.w.Write(w.buf)
+	}
+	w.buf = w.buf[:0]
+	if cap(w.buf) > 2*flushAt {
+		w.buf = nil
+	}
+	return w.err
 }
 
 // deadlineWriter sets a fresh write deadline before each write.

@@ -1,6 +1,7 @@
 package tuned
 
 import (
+	"bufio"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // countingConn counts the write syscalls a connection is asked for.
@@ -87,7 +89,7 @@ func leaseCompleteLoop(t *testing.T, c *Client, callers, rounds, batch int) int6
 // must share write syscalls: without the group flush, each wakes,
 // writes and flushes alone, at close to one syscall per request.
 func TestPipelinedGroupFlush(t *testing.T) {
-	_, addr := startServer(t, []core.EngineOption{core.WithMaxInFlight(1024)})
+	_, addr := startServer(t, []core.Option{core.WithMaxInFlight(1024)})
 	c, writes, base := dialCounting(t, addr, 0)
 	reqs := leaseCompleteLoop(t, c, 16, 40, 16)
 	if t.Failed() {
@@ -112,7 +114,7 @@ func TestPipelinedLoneWriterFlushesAtOnce(t *testing.T) {
 		{"window 1", 1, 16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, addr := startServer(t, []core.EngineOption{core.WithMaxInFlight(1024)})
+			_, addr := startServer(t, []core.Option{core.WithMaxInFlight(1024)})
 			c, writes, base := dialCounting(t, addr, tc.window)
 			reqs := leaseCompleteLoop(t, c, tc.callers, 20, 4)
 			if t.Failed() {
@@ -122,5 +124,48 @@ func TestPipelinedLoneWriterFlushesAtOnce(t *testing.T) {
 				t.Fatalf("%d write syscalls for %d requests, want one each", got, reqs)
 			}
 		})
+	}
+}
+
+// TestFrameWriterOutsizedFrame sends a frame far larger than the
+// buffer bound, then a small one: both must reach the peer intact and
+// in order, and the writer must not keep the buffer the large frame
+// grew.
+func TestFrameWriterOutsizedFrame(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	w := newFrameWriter(a, time.Second)
+	req := &wire.AbsorbReq{Worker: 1, Seq: 1, Obs: make([]wire.Obs, 20000)}
+	go func() {
+		w.commit()
+		if err := w.send(3, wire.TAbsorb, 1, req, false); err != nil {
+			t.Errorf("large send: %v", err)
+		}
+		w.commit()
+		if err := w.send(3, wire.TStats, 2, nil, false); err != nil {
+			t.Errorf("small send: %v", err)
+		}
+	}()
+
+	br := bufio.NewReader(b)
+	typ, corr, payload, _, err := wire.ReadFrameBuf(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got wire.AbsorbReq
+	if typ != wire.TAbsorb || corr != 1 || len(payload) <= 2*flushAt {
+		t.Fatalf("first frame %s corr %d, %d bytes; want the %d-byte-plus absorb frame", typ, corr, len(payload), 2*flushAt)
+	}
+	if err := got.DecodeFrom(payload); err != nil || len(got.Obs) != len(req.Obs) {
+		t.Fatalf("absorb frame decoded to %d observations (%v), want %d", len(got.Obs), err, len(req.Obs))
+	}
+	if typ, corr, _, _, err = wire.ReadFrameBuf(br, nil); err != nil || typ != wire.TStats || corr != 2 {
+		t.Fatalf("second frame %s corr %d (%v), want stats corr 2", typ, corr, err)
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if c := cap(w.buf); c > 2*flushAt {
+		t.Fatalf("writer kept a %d-byte buffer after the outsized frame", c)
 	}
 }

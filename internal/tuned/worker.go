@@ -70,11 +70,11 @@ type Worker struct {
 	CalibrateEvery int
 	// Pipeline overlaps the wire with the measurement: the next lease
 	// request is already in flight while the current batch measures, and
-	// completion reports are sent asynchronously instead of blocking the
-	// loop on their acks. Pair it with a Client dialed WithPipeline so
-	// the overlapping requests multiplex one connection; it also works
-	// (less efficiently) over a pooled client. Degraded-mode fallback
-	// behaves exactly as in the lockstep loop.
+	// completion reports settle asynchronously (at most pipelineReports
+	// outstanding) instead of blocking the loop on their acks. Without
+	// it each report settles before the next lease is asked for, so every
+	// batch is chosen after the previous results were observed.
+	// Degraded-mode fallback behaves the same either way.
 	Pipeline bool
 	// RefMeasure, when set, replaces Measure for the calibration probe.
 	// The reference must be a fixed workload: if the probe ran the live
@@ -162,150 +162,35 @@ func (w *Worker) Run(ctx context.Context) (int, error) {
 	if w.Client == nil || w.Measure == nil {
 		return 0, errors.New("tuned: Worker needs a Client and a Measure")
 	}
-	batch := w.Batch
-	if batch < 1 {
-		batch = 1
-	}
+	batch := max(w.Batch, 1)
+	sess := w.Client.Session()
 	if w.CalibrateEvery > 0 {
-		w.Client.SetWorker(w.workerID())
+		sess = w.Client.Session(SessionWorker(w.workerID()))
 	}
+	// Without Pipeline every report settles before the next lease.
+	reportLimit := 0
 	if w.Pipeline {
-		return w.runPipelined(ctx, batch)
+		reportLimit = pipelineReports
 	}
-	completed := 0
-	nextCal := 0 // calibrate before the first lease, then on the interval
-	for {
-		if err := ctx.Err(); err != nil {
-			return completed, err
-		}
-		if w.MaxTrials > 0 && completed >= w.MaxTrials {
-			return completed, nil
-		}
-		if w.CalibrateEvery > 0 && completed >= nextCal {
-			w.calibrate()
-			nextCal = completed + w.CalibrateEvery
-		}
-		n := batch
-		if w.MaxTrials > 0 && w.MaxTrials-completed < n {
-			n = w.MaxTrials - completed
-		}
-		lb, err := w.Client.LeaseN(n)
-		if err != nil {
-			if !w.degradable(err) {
-				return completed, err
-			}
-			if derr := w.runDegraded(ctx); derr != nil {
-				return completed, derr
-			}
-			continue
-		}
-		if lb.Done {
-			return completed, nil
-		}
-		if len(lb.Trials) == 0 {
-			select {
-			case <-ctx.Done():
-				return completed, ctx.Err()
-			case <-time.After(w.idleWait(lb.Retry)):
-			}
-			continue
-		}
-		results, fails, abandoned := w.measureBatch(ctx, lb)
-		if abandoned {
-			return completed, ctx.Err()
-		}
-		reported := 0
-		err = nil
-		if len(results) > 0 {
-			if _, _, err = w.Client.CompleteN(lb.Epoch, results); err == nil {
-				reported += len(results)
-				results = nil
-			}
-		}
-		if err == nil && len(fails) > 0 {
-			if _, _, err = w.Client.FailN(lb.Epoch, fails); err == nil {
-				reported += len(fails)
-				fails = nil
-			}
-		}
-		completed += reported
-		w.bump(func(s *WorkerStats) { s.Reported += reported })
-		if err != nil {
-			if !w.degradable(err) {
-				return completed, err
-			}
-			// The batch was measured but its report could not be
-			// delivered. Its leases will expire server-side; preserve the
-			// measurements as degraded-mode observations so the work is
-			// not lost, then fall back.
-			w.bufferUnreported(lb, results, fails)
-			if derr := w.runDegraded(ctx); derr != nil {
-				return completed, derr
-			}
-		}
-	}
-}
-
-// pipelineReports bounds the completion acks a pipelined worker leaves
-// outstanding before it blocks for the oldest one: enough to ride out
-// ack latency, small enough that a failing server is noticed within a
-// few batches.
-const pipelineReports = 4
-
-// runPipelined is the overlapped loop behind Worker.Pipeline: the next
-// lease request is on the wire while the current batch measures, and
-// completion reports settle asynchronously (at most pipelineReports
-// outstanding). Accounting matches the lockstep loop — completed counts
-// acked reports only — and a failed report is converted to
-// degraded-mode observations exactly as there.
-func (w *Worker) runPipelined(ctx context.Context, batch int) (int, error) {
 	type leaseRes struct {
 		lb  LeaseBatch
 		err error
 	}
-	type ackRes struct {
-		n       int // trials acked (applied or dropped)
-		err     error
-		lb      LeaseBatch
-		results []core.TrialResult // unacked remainder on error
-		fails   []core.TrialFailure
-	}
 	var (
 		completed       = 0
-		nextCal         = 0
-		pendingReported = 0 // trials handed to in-flight reports
+		nextCal         = 0 // calibrate before the first lease, then on the interval
+		pendingReported = 0 // trials handed to unsettled reports
 		measuring       = 0 // trials of the batch currently measuring
-		inflight        []chan ackRes
+		inflight        []chan reportRes
 		pendingLease    chan leaseRes
 		firstErr        error
 	)
 
 	report := func(lb LeaseBatch, results []core.TrialResult, fails []core.TrialFailure) {
-		ch := make(chan ackRes, 1)
+		ch := make(chan reportRes, 1)
 		pendingReported += len(results) + len(fails)
-		go func() {
-			res := ackRes{lb: lb, results: results, fails: fails}
-			if len(results) > 0 {
-				if _, _, err := w.Client.CompleteN(lb.Epoch, results); err != nil {
-					res.err = err
-					ch <- res
-					return
-				}
-				res.n += len(results)
-				res.results = nil
-			}
-			if len(fails) > 0 {
-				if _, _, err := w.Client.FailN(lb.Epoch, fails); err != nil {
-					res.err = err
-					ch <- res
-					return
-				}
-				res.n += len(fails)
-				res.fails = nil
-			}
-			ch <- res
-		}()
 		inflight = append(inflight, ch)
+		w.spawn(func() { ch <- sendReport(sess, lb, results, fails) })
 	}
 
 	// drain settles outstanding reports down to limit, folding acked
@@ -331,7 +216,7 @@ func (w *Worker) runPipelined(ctx context.Context, batch int) (int, error) {
 		}
 	}
 
-	// startLease fires the next lease request, capped by what MaxTrials
+	// startLease sends the next lease request, capped by what MaxTrials
 	// still has room for counting everything not yet acked; false means
 	// no room until reports settle.
 	startLease := func() bool {
@@ -345,16 +230,16 @@ func (w *Worker) runPipelined(ctx context.Context, batch int) (int, error) {
 			return false
 		}
 		ch := make(chan leaseRes, 1)
-		go func() {
-			lb, err := w.Client.LeaseN(n)
+		w.spawn(func() {
+			lb, err := sess.LeaseN(n)
 			ch <- leaseRes{lb, err}
-		}()
+		})
 		pendingLease = ch
 		return true
 	}
 
-	// handleErr routes one failure like the lockstep loop: degrade when
-	// a Fallback allows it, return otherwise.
+	// handleErr routes one failure: degrade when a Fallback allows it,
+	// return otherwise.
 	handleErr := func(err error) (resume bool, fatal error) {
 		if !w.degradable(err) {
 			return false, err
@@ -370,7 +255,7 @@ func (w *Worker) runPipelined(ctx context.Context, batch int) (int, error) {
 			drain(0)
 			return completed, err
 		}
-		drain(pipelineReports)
+		drain(reportLimit)
 		if firstErr != nil {
 			err := firstErr
 			firstErr = nil
@@ -434,8 +319,10 @@ func (w *Worker) runPipelined(ctx context.Context, batch int) (int, error) {
 			continue
 		}
 		measuring = len(lb.Trials)
-		startLease() // prefetch: the next batch flies while this one measures
-		results, fails, abandoned := w.measureBatch(ctx, lb)
+		if w.Pipeline {
+			startLease() // prefetch: the next batch flies while this one measures
+		}
+		results, fails, abandoned := w.measureBatch(ctx, sess, lb)
 		measuring = 0
 		if abandoned {
 			drain(0)
@@ -443,6 +330,52 @@ func (w *Worker) runPipelined(ctx context.Context, batch int) (int, error) {
 		}
 		report(lb, results, fails)
 	}
+}
+
+// pipelineReports bounds the completion acks a pipelined worker leaves
+// outstanding before it blocks for the oldest one: enough to ride out
+// ack latency, small enough that a failing server is noticed within a
+// few batches.
+const pipelineReports = 4
+
+// spawn runs f on its own goroutine when the worker pipelines, and
+// inline otherwise.
+func (w *Worker) spawn(f func()) {
+	if w.Pipeline {
+		go f()
+	} else {
+		f()
+	}
+}
+
+// reportRes is the outcome of one batch report.
+type reportRes struct {
+	n       int   // trials acked (applied or dropped)
+	err     error // the failure that stopped the report, if any
+	lb      LeaseBatch
+	results []core.TrialResult // unacked remainder on error
+	fails   []core.TrialFailure
+}
+
+// sendReport sends a measured batch's results, then its failures, stopping
+// at the first error.
+func sendReport(sess *Session, lb LeaseBatch, results []core.TrialResult, fails []core.TrialFailure) reportRes {
+	res := reportRes{lb: lb, results: results, fails: fails}
+	if len(results) > 0 {
+		if _, _, res.err = sess.CompleteN(lb.Epoch, results); res.err != nil {
+			return res
+		}
+		res.n += len(results)
+		res.results = nil
+	}
+	if len(fails) > 0 {
+		if _, _, res.err = sess.FailN(lb.Epoch, fails); res.err != nil {
+			return res
+		}
+		res.n += len(fails)
+		res.fails = nil
+	}
+	return res
 }
 
 // idleWait turns an empty-lease retry hint into a jittered sleep: the
@@ -617,7 +550,7 @@ func (w *Worker) flushPending() error {
 // measureBatch runs every trial of a batch, heartbeating the not-yet-
 // measured leases in the background. abandoned reports a cancellation
 // mid-batch: the remaining leases are left to expire server-side.
-func (w *Worker) measureBatch(ctx context.Context, lb LeaseBatch) (results []core.TrialResult, fails []core.TrialFailure, abandoned bool) {
+func (w *Worker) measureBatch(ctx context.Context, sess *Session, lb LeaseBatch) (results []core.TrialResult, fails []core.TrialFailure, abandoned bool) {
 	var (
 		mu      sync.Mutex // guards outstanding under the heartbeat goroutine
 		outst   = make([]uint64, 0, len(lb.Trials))
@@ -646,7 +579,7 @@ func (w *Worker) measureBatch(ctx context.Context, lb LeaseBatch) (results []cor
 					if len(ids) == 0 {
 						return
 					}
-					alive, err := w.Client.Heartbeat(lb.Epoch, ids)
+					alive, err := sess.Heartbeat(lb.Epoch, ids)
 					if err != nil {
 						continue // transient; the next tick retries
 					}
